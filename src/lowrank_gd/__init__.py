@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .asym_gd import (
     AsymState,
-    AsymTrace,
     LiftedState,
     asym_error,
     asym_step,
@@ -15,9 +14,9 @@ from .asym_gd import (
     pad_square,
     run_asym,
 )
+from .engine import DivergenceError, SolverConfig, Trace
 from .eigenspace import (
     EigState,
-    EigTrace,
     lift_to_sym,
     proj_error,
     retract,
@@ -54,6 +53,7 @@ from .linalg import (
 )
 from .spectrum import (
     RankROracle,
+    Sigma,
     Target,
     best_rank_r,
     experiment_spectrum,
@@ -61,10 +61,7 @@ from .spectrum import (
     make_target,
 )
 from .sym_gd import (
-    DivergenceError,
     FactorState,
-    SolverConfig,
-    Trace,
     TraceRecord,
     approximation_error,
     gd_step,

@@ -5,16 +5,19 @@ the unregularized ablation drops that term. A change of variables stacks
 the factor sum and difference into one tall factor driven by the
 symmetric update on a block-diagonal matrix, which serves both as a
 per-step correctness oracle and as the bridge to the symmetric theory.
+
+Sigma (a Target or an array) is applied through ``spectrum.Sigma``, and
+``run_asym`` is a thin caller of the shared ``engine.iterate``.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .sym_gd import DIVERGENCE_LIMIT, DivergenceError
+from .engine import Trace, iterate
+from .spectrum import Sigma
 
 
 @dataclass
@@ -53,50 +56,12 @@ class AsymRecord:
     balance: float
 
 
-@dataclass
-class AsymTrace:
-    records: list
-    converged: bool
-    iterations: int
-    final_error: float
-    final_balance: float
-    wall_time: float
-    final_state: AsymState
-
-    def errors(self) -> np.ndarray:
-        return np.array([rec.error for rec in self.records])
-
-    def iterations_to(self, tol: float):
-        """First recorded iteration whose error is <= tol, or None."""
-        for rec in self.records:
-            if rec.error <= tol:
-                return rec.iter
-        return None
-
-
-def _check_dims(state: AsymState, sigma: np.ndarray):
-    if sigma.shape != (state.x.shape[0], state.y.shape[0]):
+def _check_dims(state: AsymState, shape):
+    if tuple(shape) != (state.x.shape[0], state.y.shape[0]):
         raise ValueError(
-            f"sigma of shape {sigma.shape} does not match factors "
+            f"sigma of shape {tuple(shape)} does not match factors "
             f"{state.x.shape[0]}x{state.y.shape[0]}"
         )
-
-
-def _is_descending_nonneg_diag(sigma: np.ndarray) -> bool:
-    if sigma.shape[0] != sigma.shape[1]:
-        return False
-    d = np.diag(sigma)
-    if np.any(d < 0) or np.any(np.diff(d) > 0):
-        return False
-    return not np.any(sigma - np.diag(d))
-
-
-def _products(sigma: np.ndarray):
-    """(sigma @ v, sigma.T @ v) closures with a diagonal fast path."""
-    if _is_descending_nonneg_diag(sigma):
-        dvec = np.diag(sigma).copy()
-        return (lambda v: dvec[:, None] * v), (lambda v: dvec[:, None] * v)
-    return (lambda v: sigma @ v), (lambda v: sigma.T @ v)
 
 
 def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> AsymState:
@@ -105,21 +70,23 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
     Regularized:
         X' = X + eta (Sigma - X Y^T) Y - (eta/2) X (X^T X - Y^T Y)
         Y' = Y + eta (Sigma - X Y^T)^T X + (eta/2) Y (X^T X - Y^T Y)
-    The unregularized variant drops the (eta/2) terms.
+    The unregularized variant drops the (eta/2) terms. ``sigma`` is a
+    Target or an array.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    _check_dims(state, sigma)
-    sig, sig_t = _products(sigma)
+    op = Sigma(sigma, svd=True)
+    _check_dims(state, op.shape)
     x, y = state.x, state.y
-    gram_x = x.T @ x
-    gram_y = y.T @ y
-    x_next = x + eta * (sig(y) - x @ gram_y)
-    y_next = y + eta * (sig_t(x) - y @ gram_x)
+    return AsymState(*_step(op, x, y, x.T @ x, y.T @ y, eta, regularized))
+
+
+def _step(op: Sigma, x, y, gram_x, gram_y, eta: float, regularized: bool):
+    x_next = x + eta * (op.apply(y) - x @ gram_y)
+    y_next = y + eta * (op.apply_t(x) - y @ gram_x)
     if regularized:
         imbalance = gram_x - gram_y
-        x_next = x_next - 0.5 * eta * (x @ imbalance)
-        y_next = y_next + 0.5 * eta * (y @ imbalance)
-    return AsymState(x_next, y_next)
+        x_next -= 0.5 * eta * (x @ imbalance)
+        y_next += 0.5 * eta * (y @ imbalance)
+    return x_next, y_next
 
 
 def lift(state: AsymState, sigma=None) -> LiftedState:
@@ -137,7 +104,7 @@ def lift(state: AsymState, sigma=None) -> LiftedState:
     lifted = None
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
-        _check_dims(state, sigma)
+        _check_dims(state, sigma.shape)
         lifted = np.zeros((2 * d1, 2 * d1))
         lifted[:d1, :d1] = 2.0 * sigma
         lifted[d1:, d1:] = -2.0 * sigma
@@ -160,14 +127,14 @@ def balance_gap(state: AsymState) -> float:
     return float(np.linalg.norm(state.x.T @ state.x - state.y.T @ state.y, "fro"))
 
 
-def _error_fn(sigma: np.ndarray, r: int):
+def _error_fn(op: Sigma, r: int):
     """Closure for ||Sigma_r - X Y^T||_F with Sigma_r the rank-r SVD
-    truncation. Diagonal descending targets use a block identity that
-    avoids forming d1 x d2 matrices per call."""
-    if r < 1 or r > min(sigma.shape):
-        raise ValueError(f"rank {r} out of range for sigma of shape {sigma.shape}")
-    if _is_descending_nonneg_diag(sigma):
-        s_r = np.diag(np.diag(sigma)[:r])
+    truncation. A diagonal operator (its own SVD) uses a block identity
+    that avoids forming d1 x d2 matrices per call."""
+    if r < 1 or r > min(op.shape):
+        raise ValueError(f"rank {r} out of range for sigma of shape {op.shape}")
+    if op.diag is not None:
+        s_r = np.diag(op.diag[:r])
 
         def err(x: np.ndarray, y: np.ndarray) -> float:
             ux, jx = x[:r], x[r:]
@@ -183,7 +150,7 @@ def _error_fn(sigma: np.ndarray, r: int):
 
         return err
 
-    left, svals, right = linalg.svd(sigma)
+    left, svals, right = linalg.svd(op.matrix)
     sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
 
     def err(x: np.ndarray, y: np.ndarray) -> float:
@@ -194,60 +161,39 @@ def _error_fn(sigma: np.ndarray, r: int):
 
 def asym_error(state: AsymState, sigma, r: int) -> float:
     """Frobenius error of X Y^T against the rank-r truncation of sigma."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    _check_dims(state, sigma)
-    return _error_fn(sigma, r)(state.x, state.y)
+    op = Sigma(sigma, svd=True)
+    _check_dims(state, op.shape)
+    return _error_fn(op, r)(state.x, state.y)
 
 
-def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> AsymTrace:
+def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trace:
     """Iterate the asymmetric update until the approximation error (and,
     for the regularized variant, the balance gap) falls below the
     tolerance, or the budget runs out.
 
-    Records (iteration, error, balance) at the configured cadence plus the
-    first and last iterations. Raises DivergenceError, carrying the trace
-    so far, if either factor norm hits the divergence guard.
+    ``sigma`` is a Target or an array. Records (iteration, error, balance)
+    at the configured cadence plus the first and last iterations. Raises
+    DivergenceError, carrying the trace so far, if either factor norm hits
+    the divergence guard.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    _check_dims(state0, sigma)
-    err_fn = _error_fn(sigma, state0.rank)
-    sig, sig_t = _products(sigma)
+    op = Sigma(sigma, svd=True)
+    _check_dims(state0, op.shape)
+    err_fn = _error_fn(op, state0.rank)
+    eta, epsilon = config.eta, config.epsilon
 
-    records = []
-    x, y = state0.x.copy(), state0.y.copy()
-    eta = config.eta
-    converged = False
-    t = 0
-    start = time.perf_counter()
-    while True:
+    def measure(xy):
+        x, y = xy
         norm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
-        diverged = norm >= DIVERGENCE_LIMIT
         err = err_fn(x, y)
-        gram_x = x.T @ x
-        gram_y = y.T @ y
-        imbalance = gram_x - gram_y
-        balance = float(np.linalg.norm(imbalance, "fro"))
-        done = err <= config.epsilon and (not regularized or balance <= config.epsilon)
-        terminal = diverged or done or t >= config.max_iters
-        if t % config.record_every == 0 or terminal:
-            records.append(AsymRecord(t, err, balance))
-        if diverged:
-            wall = time.perf_counter() - start
-            trace = AsymTrace(records, False, t, err, balance, wall, AsymState(x, y))
-            raise DivergenceError(
-                f"factor norm {norm:.3e} reached the divergence guard at iteration {t}", trace
-            )
-        if done:
-            converged = True
-            break
-        if t >= config.max_iters:
-            break
-        x_next = x + eta * (sig(y) - x @ gram_y)
-        y_next = y + eta * (sig_t(x) - y @ gram_x)
-        if regularized:
-            x_next -= 0.5 * eta * (x @ imbalance)
-            y_next += 0.5 * eta * (y @ imbalance)
-        x, y = x_next, y_next
-        t += 1
-    wall = time.perf_counter() - start
-    return AsymTrace(records, converged, t, err, balance, wall, AsymState(x, y))
+        grams = x.T @ x, y.T @ y
+        balance = float(np.linalg.norm(grams[0] - grams[1], "fro"))
+        done = err <= epsilon and (not regularized or balance <= epsilon)
+        return xy, norm, err, done, (grams, balance)
+
+    def step(xy, aux):
+        return _step(op, *xy, *aux[0], eta, regularized)
+
+    return iterate(
+        (state0.x.copy(), state0.y.copy()), step, measure,
+        lambda t, xy, err, aux: AsymRecord(t, err, aux[1]), config, lambda xy: AsymState(*xy),
+    )

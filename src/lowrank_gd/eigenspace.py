@@ -7,17 +7,20 @@ re-orthonormalizes the frame before every update and is the baseline the
 wall-clock benchmark compares against. Scaling a frame by the matrix
 square root of the target maps one retraction-free step onto one step of
 the symmetric factored iteration, which is used as a per-step oracle.
+
+Both methods apply the target through ``spectrum.Sigma``, and ``run_eig``
+is a thin caller of the shared ``engine.iterate``.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .spectrum import RankROracle, Target
-from .sym_gd import DIVERGENCE_LIMIT, DivergenceError, FactorState
+from .engine import Trace, iterate
+from .spectrum import RankROracle, Sigma, Target
+from .sym_gd import FactorState
 
 METHODS = ("retraction_free", "rgd")
 
@@ -45,44 +48,23 @@ class EigRecord:
     iter: int
     proj_error: float
 
-
-@dataclass
-class EigTrace:
-    records: list
-    converged: bool
-    iterations: int
-    final_error: float
-    wall_time: float
-    final_state: EigState
-
-    def errors(self) -> np.ndarray:
-        return np.array([rec.proj_error for rec in self.records])
-
-    def iterations_to(self, tol: float):
-        for rec in self.records:
-            if rec.proj_error <= tol:
-                return rec.iter
-        return None
-
-
-def _sigma_product(target, l: np.ndarray) -> np.ndarray:
-    if isinstance(target, Target):
-        if target.dim != l.shape[0]:
-            raise ValueError(f"target is {target.dim}-dimensional but frame has {l.shape[0]} rows")
-        if target.basis is None:
-            return target.eigenvalues[:, None] * l
-        return target.matrix @ l
-    sigma = np.asarray(target, dtype=np.float64)
-    if sigma.shape[0] != sigma.shape[1] or sigma.shape[0] != l.shape[0]:
-        raise ValueError(f"sigma of shape {sigma.shape} does not match frame with {l.shape[0]} rows")
-    return sigma @ l
+    @property
+    def error(self) -> float:
+        """The projection error, under the name ``Trace`` reads."""
+        return self.proj_error
 
 
 def rf_step(state: EigState, sigma, eta: float) -> EigState:
-    """One retraction-free step L + eta (I - L L^T) Sigma L."""
-    l = state.l
-    sl = _sigma_product(sigma, l)
-    return EigState(l + eta * (sl - l @ (l.T @ sl)))
+    """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
+    Target or a symmetric array."""
+    op = Sigma(sigma)
+    op.check_square(state.dim)
+    return EigState(_step(op, state.l, eta))
+
+
+def _step(op: Sigma, l: np.ndarray, eta: float) -> np.ndarray:
+    sl = op.apply(l)
+    return l + eta * (sl - l @ (l.T @ sl))
 
 
 def retract(l_tilde) -> np.ndarray:
@@ -94,9 +76,9 @@ def retract(l_tilde) -> np.ndarray:
 
 def rgd_step(state: EigState, sigma, eta: float) -> EigState:
     """Retract the frame, then apply the Riemannian gradient update."""
-    l = retract(state.l)
-    sl = _sigma_product(sigma, l)
-    return EigState(l + eta * (sl - l @ (l.T @ sl)))
+    op = Sigma(sigma)
+    op.check_square(state.dim)
+    return EigState(_step(op, retract(state.l), eta))
 
 
 def proj_error(state: EigState, oracle: RankROracle) -> float:
@@ -122,11 +104,10 @@ def _proj_error_fn(target: Target):
     """Closure for ||Pi_r - L L^T||_F via the Gram identity
     r - 2 ||B_r^T L||_F^2 + ||L^T L||_F^2, avoiding d x d products."""
     r = target.rank
-    basis = target.basis
+    to_eigen = Sigma(target).to_eigen
 
     def err(l: np.ndarray) -> float:
-        z = l if basis is None else basis.T @ l
-        top = z[:r]
+        top = to_eigen(l)[:r]
         gram = l.T @ l
         sq = r - 2.0 * float(np.sum(top * top)) + float(np.sum(gram * gram))
         return math.sqrt(max(sq, 0.0))
@@ -134,7 +115,7 @@ def _proj_error_fn(target: Target):
     return err
 
 
-def run_eig(state0: EigState, target: Target, config, method: str = "retraction_free") -> EigTrace:
+def run_eig(state0: EigState, target: Target, config, method: str = "retraction_free") -> Trace:
     """Iterate the chosen eigenspace method until the projection error
     falls below the tolerance or the budget runs out.
 
@@ -152,9 +133,10 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
 
     Returns
     -------
-    EigTrace
-        Projection errors at the recording cadence; ``wall_time`` measures
-        the iteration loop only, so benchmark comparisons exclude setup.
+    Trace
+        EigRecords of the projection error at the recording cadence;
+        ``wall_time`` measures the iteration loop only (the retraction
+        included), so benchmark comparisons exclude setup.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -162,40 +144,19 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         raise ValueError("eigenspace computation needs a PSD target")
     if state0.dim != target.dim:
         raise ValueError(f"frame is {state0.dim}-dimensional, target is {target.dim}")
+    op = Sigma(target)
     err_fn = _proj_error_fn(target)
     retracted = method == "rgd"
-    diag = target.basis is None
-    eigs = target.eigenvalues
-    sigma = None if diag else target.matrix
+    eta, epsilon = config.eta, config.epsilon
 
-    records = []
-    l = state0.l.copy()
-    eta = config.eta
-    converged = False
-    t = 0
-    start = time.perf_counter()
-    while True:
+    def measure(l):
         if retracted:
             l = l @ linalg.spd_inv_sqrt(l.T @ l)
         norm = float(np.linalg.norm(l))
-        diverged = norm >= DIVERGENCE_LIMIT
         err = err_fn(l)
-        terminal = diverged or err <= config.epsilon or t >= config.max_iters
-        if t % config.record_every == 0 or terminal:
-            records.append(EigRecord(t, err))
-        if diverged:
-            wall = time.perf_counter() - start
-            trace = EigTrace(records, False, t, err, wall, EigState(l))
-            raise DivergenceError(
-                f"frame norm {norm:.3e} reached the divergence guard at iteration {t}", trace
-            )
-        if err <= config.epsilon:
-            converged = True
-            break
-        if t >= config.max_iters:
-            break
-        sl = eigs[:, None] * l if diag else sigma @ l
-        l = l + eta * (sl - l @ (l.T @ sl))
-        t += 1
-    wall = time.perf_counter() - start
-    return EigTrace(records, converged, t, err, wall, EigState(l))
+        return l, norm, err, err <= epsilon, None
+
+    return iterate(
+        state0.l.copy(), lambda l, _: _step(op, l, eta), measure,
+        lambda t, l, err, _: EigRecord(t, err), config, EigState,
+    )

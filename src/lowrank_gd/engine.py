@@ -1,0 +1,112 @@
+"""The iteration driver the three solvers share.
+
+``iterate`` owns the timed loop, the divergence guard, the record cadence
+and termination; each solver supplies how to measure, record and step its
+raw iterate (an array, or a tuple of arrays for the two-factor problem).
+Every run returns one ``Trace`` type.
+"""
+
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+# Iterates whose Frobenius norm reaches this are treated as diverged. The
+# solver fails loudly instead of overflowing when users pass step sizes
+# far above the theoretical bound.
+DIVERGENCE_LIMIT = 1e12
+
+
+class DivergenceError(RuntimeError):
+    """An iterate exceeded the divergence guard. Carries the trace so far."""
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
+
+
+@dataclass
+class SolverConfig:
+    eta: float
+    epsilon: float
+    max_iters: int
+    record_every: int = 1
+
+    def __post_init__(self):
+        if not (0 < self.eta <= 1.0):
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        if self.epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+
+@dataclass
+class Trace:
+    """Recorded history of a run plus its outcome. Every record has
+    ``iter`` and ``error`` attributes; the last one is the terminal one."""
+
+    records: list
+    converged: bool
+    iterations: int
+    final_error: float
+    wall_time: float
+    final_state: object
+
+    def errors(self) -> np.ndarray:
+        return np.array([rec.error for rec in self.records])
+
+    def iters(self) -> np.ndarray:
+        return np.array([rec.iter for rec in self.records])
+
+    def iterations_to(self, tol: float):
+        """First recorded iteration whose error is <= tol, or None."""
+        for rec in self.records:
+            if rec.error <= tol:
+                return rec.iter
+        return None
+
+    @property
+    def final_balance(self) -> float:
+        """Balance gap at termination (two-factor runs)."""
+        return self.records[-1].balance
+
+
+def iterate(x, step, measure, record, config: SolverConfig, wrap) -> Trace:
+    """Run ``x <- step(x, aux)`` until the stopping rule holds, the budget
+    ``config.max_iters`` runs out, or the iterate diverges.
+
+    Each pass calls ``measure(x)``, which returns ``(x, norm, error, done,
+    aux)``: the iterate to record and step from (the retracted eigenspace
+    method retracts here), the norm the divergence guard checks, the
+    error, whether the stopping rule holds, and whatever ``step`` and
+    ``record`` reuse. ``record(t, x, error, aux)`` builds one record every
+    ``config.record_every`` iterations and at termination. ``wrap`` turns
+    the final raw iterate into the solver's state type. ``wall_time``
+    covers the loop only.
+
+    Raises DivergenceError, carrying the trace so far, when the norm
+    reaches DIVERGENCE_LIMIT.
+    """
+    records = []
+    t = 0
+    start = time.perf_counter()
+    while True:
+        x, norm, err, done, aux = measure(x)
+        diverged = norm >= DIVERGENCE_LIMIT
+        terminal = diverged or done or t >= config.max_iters
+        if t % config.record_every == 0 or terminal:
+            records.append(record(t, x, err, aux))
+        if terminal:
+            break
+        x = step(x, aux)
+        t += 1
+    wall = time.perf_counter() - start
+    trace = Trace(records, done and not diverged, t, err, wall, wrap(x))
+    if diverged:
+        raise DivergenceError(
+            f"iterate norm {norm:.3e} reached the divergence guard at iteration {t}", trace
+        )
+    return trace

@@ -1,32 +1,32 @@
 """Experiment harness: JSON configs in, CSV traces, a JSON summary, and
 SVG log-error plots out.
 
-Each experiment kind maps onto one solver: "sym" and "eig" build a
-diagonal target from the configured spectrum, "asym" feeds the same
-matrix to the two-factor solver, and "bench" times the two eigenspace
-methods back to back. Repeats draw their seeds as base_seed + index, so
-re-running a config reproduces every CSV byte for byte.
+Every kind builds one diagonal Target from the configured spectrum and
+hands it to its solver: "sym" to the symmetric one, "asym" to the
+two-factor one, "eig" to the eigenspace one, and "bench" times the two
+eigenspace methods back to back. Each (variant, repeat) is one job run
+by ``_execute``; CSV columns are the fields of the solver's records.
+Repeats draw their seeds as base_seed + index, so re-running a config
+reproduces every CSV byte for byte.
 """
 
 import csv
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import asym_gd, eigenspace, initialization, spectrum, sym_gd
+from . import asym_gd, eigenspace, engine, initialization, spectrum, sym_gd
 
 FLOAT_FMT = ".17g"
 
-SYM_COLUMNS = ("iter", "error", "sigma1_x", "sigma1_j", "sigmar_u", "ratio", "sigma1_p", "in_r", "in_r2")
-ASYM_COLUMNS = ("iter", "error", "balance")
-EIG_COLUMNS = ("iter", "proj_error")
-
 KINDS = ("sym", "asym", "eig", "bench")
+
+# Eigenspace method -> its short name in variant and CSV names.
+_SHORT = {"retraction_free": "rf", "rgd": "rgd"}
 
 _TOP_KEYS = {
     "kind", "dim", "rank", "spectrum", "eta", "epsilon", "max_iters",
@@ -144,6 +144,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if values.size != dim:
         raise ConfigError(f"invalid value for 'spectrum': expected {dim} values, got {values.size}")
     eta = _positive(float(_require(raw, "eta", (int, float), "eta")), "eta")
+    if eta > 1.0:
+        raise ConfigError(f"invalid value for 'eta': must be at most 1, got {eta}")
     epsilon = _positive(float(_require(raw, "epsilon", (int, float), "epsilon")), "epsilon")
     max_iters = _positive(_require(raw, "max_iters", int, "max_iters"), "max_iters")
 
@@ -173,7 +175,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     repeats = raw.get("repeats", 1)
     if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
         raise ConfigError(f"invalid value for 'repeats': expected an integer >= 1, got {repeats!r}")
-    record_every = raw.get("record_every", 1)
+    # bench runs record only the first and last iteration unless told otherwise
+    record_every = raw.get("record_every", max_iters if kind == "bench" else 1)
     if not isinstance(record_every, int) or isinstance(record_every, bool) or record_every < 1:
         raise ConfigError(f"invalid value for 'record_every': expected an integer >= 1, got {record_every!r}")
 
@@ -200,9 +203,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid value for 'out_dir': expected a string, got {type(out_dir).__name__}")
 
     try:
-        spectrum.make_diagonal_target(values, dim, rank)
+        target = spectrum.make_diagonal_target(values, dim, rank)
     except ValueError as exc:
         raise ConfigError(f"invalid value for 'spectrum': {exc}") from exc
+    if kind != "asym" and not target.is_psd:
+        raise ConfigError(
+            f"invalid value for 'spectrum': kind {kind!r} needs a PSD spectrum, "
+            f"got smallest eigenvalue {target.eigenvalues[-1]:g}"
+        )
 
     return ExperimentConfig(
         kind=kind, dim=dim, rank=rank, values=values, eta=eta, epsilon=epsilon,
@@ -239,22 +247,6 @@ def _write_csv(path: Path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _sym_rows(trace):
-    for rec in trace.records:
-        yield (rec.iter, rec.error, rec.sigma1_x, rec.sigma1_j, rec.sigmar_u,
-               rec.ratio, rec.sigma1_p, rec.in_r, rec.in_r2)
-
-
-def _asym_rows(trace):
-    for rec in trace.records:
-        yield (rec.iter, rec.error, rec.balance)
-
-
-def _eig_rows(trace):
-    for rec in trace.records:
-        yield (rec.iter, rec.proj_error)
-
-
 def _worker_count() -> int:
     env = os.environ.get("LOWRANK_GD_THREADS", "")
     if env.strip():
@@ -280,14 +272,20 @@ def _alpha_regime(target, eta: float, alpha: float) -> str:
     return "small" if alpha <= bound else "moderate"
 
 
-def _solver_config(config: ExperimentConfig, record_every=None) -> sym_gd.SolverConfig:
-    return sym_gd.SolverConfig(
+def _solver_config(config: ExperimentConfig) -> engine.SolverConfig:
+    return engine.SolverConfig(
         eta=config.eta, epsilon=config.epsilon, max_iters=config.max_iters,
-        record_every=record_every or config.record_every,
+        record_every=config.record_every,
     )
 
 
 def _build_jobs(config: ExperimentConfig, target, seed_base: int):
+    """(variant name, repeat, seed, params) of every run, in run order.
+    Bench jobs use the first alpha only and interleave the methods within
+    each repeat."""
+    if config.kind == "bench":
+        return [(_SHORT[m], rep, seed_base + rep, {"alpha": config.alphas[0], "method": m})
+                for rep in range(config.repeats) for m in config.methods]
     jobs = []
     for alpha in config.alphas:
         alpha_eff = _alpha_for(config, alpha, target)
@@ -298,8 +296,7 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
             variants = [(f"a{alpha:g}_{'reg' if f else 'unreg'}", {"alpha": alpha_eff, "regularized": f})
                         for f in flags]
         else:
-            short = {"retraction_free": "rf", "rgd": "rgd"}
-            variants = [(f"a{alpha:g}_{short[m]}", {"alpha": alpha_eff, "method": m})
+            variants = [(f"a{alpha:g}_{_SHORT[m]}", {"alpha": alpha_eff, "method": m})
                         for m in config.methods]
         for name, params in variants:
             for rep in range(config.repeats):
@@ -307,93 +304,62 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
     return jobs
 
 
-def _execute(config: ExperimentConfig, target, job, out_dir: Path):
-    name, rep, seed, params = job
-    d, r = config.dim, config.rank
+def _solve(config: ExperimentConfig, target, seed: int, params: dict) -> engine.Trace:
+    d, r, alpha = config.dim, config.rank, params["alpha"]
     solver_cfg = _solver_config(config)
-    diverged = False
     if config.kind == "sym":
-        x0 = params["alpha"] * initialization.gaussian_factor(d, r, seed)
-        try:
-            trace = sym_gd.run(sym_gd.FactorState(x0), target, solver_cfg)
-        except sym_gd.DivergenceError as exc:
-            trace, diverged = exc.trace, True
-        columns, rows = SYM_COLUMNS, _sym_rows(trace)
-    elif config.kind == "asym":
+        x0 = alpha * initialization.gaussian_factor(d, r, seed)
+        return sym_gd.run(sym_gd.FactorState(x0), target, solver_cfg)
+    if config.kind == "asym":
         n0, n1 = initialization.gaussian_pair(d, d, r, seed)
-        state0 = asym_gd.AsymState(params["alpha"] * n0, params["alpha"] * n1)
-        try:
-            trace = asym_gd.run_asym(state0, target.matrix, solver_cfg, regularized=params["regularized"])
-        except sym_gd.DivergenceError as exc:
-            trace, diverged = exc.trace, True
-        columns, rows = ASYM_COLUMNS, _asym_rows(trace)
-    else:
-        l0 = params["alpha"] * initialization.gaussian_factor(d, r, seed)
-        try:
-            trace = eigenspace.run_eig(eigenspace.EigState(l0), target, solver_cfg, method=params["method"])
-        except sym_gd.DivergenceError as exc:
-            trace, diverged = exc.trace, True
-        columns, rows = EIG_COLUMNS, _eig_rows(trace)
+        state0 = asym_gd.AsymState(alpha * n0, alpha * n1)
+        return asym_gd.run_asym(state0, target, solver_cfg, regularized=params["regularized"])
+    l0 = alpha * initialization.gaussian_factor(d, r, seed)
+    return eigenspace.run_eig(eigenspace.EigState(l0), target, solver_cfg, method=params["method"])
 
+
+def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> RunResult:
+    """Run one job and write its CSV; a diverged run keeps its partial trace."""
+    name, rep, seed, params = job
+    diverged = False
+    try:
+        trace = _solve(config, target, seed, params)
+    except engine.DivergenceError as exc:
+        trace, diverged = exc.trace, True
+    columns = [f.name for f in fields(trace.records[0])]
     csv_path = out_dir / f"{config.kind}_{name}_rep{rep}.csv"
-    _write_csv(csv_path, columns, rows)
+    _write_csv(csv_path, columns, (vars(rec).values() for rec in trace.records))
     return RunResult(
         variant=name, repeat=rep, seed=seed, csv_path=str(csv_path),
         converged=trace.converged, diverged=diverged, iterations=trace.iterations,
         iterations_to_tolerance=trace.iterations_to(config.epsilon),
         final_error=trace.final_error, wall_time_s=trace.wall_time,
-    ), trace
+    )
 
 
 def _run_bench(config: ExperimentConfig, target, seed_base: int, out_dir: Path):
     """Timed comparison of the two eigenspace methods, strictly sequential
     and interleaved (rf, rgd, rf, rgd, ...) across repeats."""
-    d, r = config.dim, config.rank
-    record_every = config.raw.get("record_every") or config.max_iters
-    solver_cfg = _solver_config(config, record_every=record_every)
-    alpha = config.alphas[0]
-    per_method = {m: [] for m in config.methods}
-    runs = []
-    csv_paths = []
-    diverged_any = False
-    for rep in range(config.repeats):
-        seed = seed_base + rep
-        l0 = alpha * initialization.gaussian_factor(d, r, seed)
-        for method in config.methods:
-            diverged = False
-            try:
-                trace = eigenspace.run_eig(eigenspace.EigState(l0), target, solver_cfg, method=method)
-            except sym_gd.DivergenceError as exc:
-                trace, diverged = exc.trace, True
-                diverged_any = True
-            short = "rf" if method == "retraction_free" else "rgd"
-            csv_path = out_dir / f"bench_{short}_rep{rep}.csv"
-            _write_csv(csv_path, EIG_COLUMNS, _eig_rows(trace))
-            csv_paths.append(str(csv_path))
-            per_method[method].append(trace)
-            runs.append(RunResult(
-                variant=short, repeat=rep, seed=seed, csv_path=str(csv_path),
-                converged=trace.converged, diverged=diverged, iterations=trace.iterations,
-                iterations_to_tolerance=trace.iterations_to(config.epsilon),
-                final_error=trace.final_error, wall_time_s=trace.wall_time,
-            ))
+    jobs = _build_jobs(config, target, seed_base)
+    runs = [_execute(config, target, job, out_dir) for job in jobs]
     methods_summary = {}
-    for method, traces in per_method.items():
-        times = np.array([t.wall_time for t in traces])
+    for method in config.methods:
+        mine = [run for run, job in zip(runs, jobs) if job[3]["method"] == method]
+        times = np.array([run.wall_time_s for run in mine])
         methods_summary[method] = {
-            "runs": len(traces),
+            "runs": len(mine),
             "total_wall_time_s": float(times.sum()),
             "median_wall_time_s": float(np.median(times)),
-            "median_iterations": float(np.median([t.iterations for t in traces])),
+            "median_iterations": float(np.median([run.iterations for run in mine])),
         }
     saving = None
-    if set(per_method) == set(eigenspace.METHODS):
+    if set(methods_summary) == set(eigenspace.METHODS):
         rgd_total = methods_summary["rgd"]["total_wall_time_s"]
         rf_total = methods_summary["retraction_free"]["total_wall_time_s"]
         if rgd_total > 0:
             saving = (rgd_total - rf_total) / rgd_total
     bench = {"methods": methods_summary, "saving_fraction": saving}
-    return runs, csv_paths, bench, diverged_any
+    return runs, bench
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -> ExperimentResult:
@@ -416,19 +382,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
     target = spectrum.make_diagonal_target(config.values, config.dim, config.rank)
 
     if config.kind == "bench":
-        runs, csv_paths, bench, diverged_any = _run_bench(config, target, seed_base, out)
+        runs, bench = _run_bench(config, target, seed_base, out)
     else:
         bench = None
         jobs = _build_jobs(config, target, seed_base)
         workers = min(_worker_count(), len(jobs))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(lambda j: _execute(config, target, j, out), jobs))
+                runs = list(pool.map(lambda j: _execute(config, target, j, out), jobs))
         else:
-            outcomes = [_execute(config, target, job, out) for job in jobs]
-        runs = [res for res, _ in outcomes]
-        csv_paths = [res.csv_path for res in runs]
-        diverged_any = any(res.diverged for res in runs)
+            runs = [_execute(config, target, job, out) for job in jobs]
+    csv_paths = [res.csv_path for res in runs]
+    diverged_any = any(res.diverged for res in runs)
 
     summary = {
         "kind": config.kind,

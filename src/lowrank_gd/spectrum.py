@@ -1,4 +1,5 @@
-"""Target matrices, their spectral metadata, and rank-r ground-truth oracles."""
+"""Target matrices, their spectral metadata, the Sigma operator the
+solvers apply, and rank-r ground-truth oracles."""
 
 from dataclasses import dataclass, field
 
@@ -83,6 +84,69 @@ class Target:
             else:
                 self._matrix = (self.basis * self.eigenvalues) @ self.basis.T
         return self._matrix
+
+
+class Sigma:
+    """The target as a linear operator on tall factors.
+
+    Built from a Target or an array. A diagonal operator keeps the
+    diagonal in ``diag`` and applies it elementwise; a dense one applies
+    ``matrix`` (square or rectangular; for a Target, its ``Target.matrix``).
+    A Target without a basis is diagonal; an array is dense. With
+    ``svd=True`` (the two-factor problem, whose rank-r truncation is by
+    singular values) the diagonal path also needs descending non-negative
+    entries, so that the diagonal is its own SVD: a Target with a negative
+    eigenvalue is then dense, and an array is diagonal when it is a square
+    diagonal matrix with such entries.
+    """
+
+    def __init__(self, source, svd: bool = False):
+        self.diag = self.matrix = None
+        if isinstance(source, Target):
+            self.shape = (source.dim, source.dim)
+            self.basis = source.basis
+            self._identity_basis = source.basis is None
+            if source.basis is None and not (svd and source.eigenvalues[-1] < 0):
+                self.diag = source.eigenvalues
+            else:
+                self.matrix = source.matrix
+            return
+        a = np.asarray(source, dtype=np.float64)
+        self.shape = a.shape
+        self.basis = None
+        if svd and a.ndim == 2 and a.shape[0] == a.shape[1]:
+            d = np.diag(a)
+            if not (np.any(d < 0) or np.any(np.diff(d) > 0) or np.any(a - np.diag(d))):
+                self.diag = d.copy()
+        if self.diag is None:
+            self.matrix = a
+        self._identity_basis = self.diag is not None
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Sigma @ v."""
+        if self.diag is not None:
+            return self.diag[:, None] * v
+        return self.matrix @ v
+
+    def apply_t(self, v: np.ndarray) -> np.ndarray:
+        """Sigma^T @ v."""
+        if self.diag is not None:
+            return self.diag[:, None] * v
+        return self.matrix.T @ v
+
+    def to_eigen(self, x: np.ndarray) -> np.ndarray:
+        """x in eigenbasis coordinates: basis^T @ x for a rotated Target,
+        x itself when the eigenbasis is the identity."""
+        if self.basis is not None:
+            return self.basis.T @ x
+        if not self._identity_basis:
+            raise ValueError("the eigenbasis of a dense array operator is unknown")
+        return x
+
+    def check_square(self, rows: int):
+        """Raise ValueError unless Sigma is ``rows`` x ``rows``."""
+        if self.shape != (rows, rows):
+            raise ValueError(f"sigma of shape {self.shape} does not match an iterate with {rows} rows")
 
 
 @dataclass

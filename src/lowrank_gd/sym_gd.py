@@ -4,35 +4,27 @@ Implements the factored update X <- X + eta * (Sigma - X X^T) X together
 with the block-level diagnostics used to machine-check its convergence
 behaviour: membership in the absorbing regions, the noise-to-signal
 ratio, the signal residual, and closed-form iteration budgets.
+
+The target is applied through ``spectrum.Sigma``; the diagnostics are
+taken in its eigenbasis coordinates, so a rotated target reports the
+same values as its diagonal copy. ``run`` is a thin caller of the shared
+``engine.iterate``.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .spectrum import Target
-
-# Iterates whose Frobenius norm reaches this are treated as diverged. The
-# solver fails loudly instead of overflowing when users pass step sizes
-# far above the theoretical bound.
-DIVERGENCE_LIMIT = 1e12
+from .engine import SolverConfig, Trace, iterate
+from .spectrum import Sigma, Target
 
 # Additive slack absorbing floating-point drift in region membership.
 DEFAULT_REGION_SLACK = 1e-8
 
 # Signal levels below this are reported as an infinite ratio.
 SIGNAL_FLOOR = 1e-300
-
-
-class DivergenceError(RuntimeError):
-    """An iterate exceeded the divergence guard. Carries the trace so far."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass
@@ -54,24 +46,6 @@ class FactorState:
 
 
 @dataclass
-class SolverConfig:
-    eta: float
-    epsilon: float
-    max_iters: int
-    record_every: int = 1
-
-    def __post_init__(self):
-        if not (0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-
-
-@dataclass
 class TraceRecord:
     """Per-iteration diagnostics of a symmetric run."""
 
@@ -86,56 +60,18 @@ class TraceRecord:
     in_r2: bool
 
 
-@dataclass
-class Trace:
-    """Recorded history of a run plus its outcome."""
-
-    records: list
-    converged: bool
-    iterations: int
-    final_error: float
-    wall_time: float
-    final_state: FactorState
-
-    def errors(self) -> np.ndarray:
-        return np.array([rec.error for rec in self.records])
-
-    def iters(self) -> np.ndarray:
-        return np.array([rec.iter for rec in self.records])
-
-    def iterations_to(self, tol: float):
-        """First recorded iteration whose error is <= tol, or None."""
-        for rec in self.records:
-            if rec.error <= tol:
-                return rec.iter
-        return None
-
-
-def _sigma_product(target, x: np.ndarray) -> np.ndarray:
-    """Sigma @ x, with a cheap path for diagonal targets.
-
-    ``target`` may be a Target or a plain symmetric matrix; the latter is
-    what the lifting oracles pass in.
-    """
-    if isinstance(target, Target):
-        if target.dim != x.shape[0]:
-            raise ValueError(f"target is {target.dim}-dimensional but factor has {x.shape[0]} rows")
-        if target.basis is None:
-            return target.eigenvalues[:, None] * x
-        return target.matrix @ x
-    sigma = np.asarray(target, dtype=np.float64)
-    if sigma.shape[0] != sigma.shape[1] or sigma.shape[0] != x.shape[0]:
-        raise ValueError(f"sigma of shape {sigma.shape} does not match factor with {x.shape[0]} rows")
-    return sigma @ x
-
-
 def gd_step(state: FactorState, target, eta: float) -> FactorState:
-    """One gradient step X + eta * (Sigma - X X^T) X."""
+    """One gradient step X + eta * (Sigma - X X^T) X. ``target`` is a
+    Target or a symmetric array (the lifting oracles pass the latter)."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    x = state.x
-    sx = _sigma_product(target, x)
-    return FactorState(x + eta * (sx - x @ (x.T @ x)))
+    op = Sigma(target)
+    op.check_square(state.dim)
+    return FactorState(_step(op, state.x, eta))
+
+
+def _step(op: Sigma, x: np.ndarray, eta: float) -> np.ndarray:
+    return x + eta * (op.apply(x) - x @ (x.T @ x))
 
 
 def split_blocks(state: FactorState):
@@ -147,33 +83,28 @@ def split_blocks(state: FactorState):
     return state.x[:r], state.x[r:]
 
 
-def region_quantities(state: FactorState):
-    """(sigma_1^2(X), sigma_1^2(J), sigma_r^2(U)) for the block views."""
-    u, j = split_blocks(state)
-    s1x = linalg.singular_values(state.x)[0]
-    s1j = linalg.singular_values(j)[0]
-    sru = linalg.singular_values(u)[-1]
-    return s1x * s1x, s1j * s1j, sru * sru
+def region_quantities(z: np.ndarray, target: Target, slack: float = DEFAULT_REGION_SLACK):
+    """(sigma_1(X), sigma_1(J), sigma_r(U), in R, in R2) of an iterate ``z``
+    in the target's eigenbasis coordinates, where U is its top r rows and
+    J the rest. Region membership carries additive slack on each clause."""
+    r = target.rank
+    s1x = float(linalg.singular_values(z)[0])
+    s1j = float(linalg.singular_values(z[r:])[0])
+    sru = float(linalg.singular_values(z[:r])[-1])
+    in_r2 = s1x ** 2 <= 2 * target.lambda_top + slack and s1j ** 2 <= target.lambda_r - target.gap / 2 + slack
+    in_r = in_r2 and sru ** 2 >= target.gap / 4 - slack
+    return s1x, s1j, sru, in_r, in_r2
 
 
 def in_region_r(state: FactorState, target: Target, slack: float = DEFAULT_REGION_SLACK) -> bool:
     """Membership in the absorbing region: bounded magnitude, controlled
     noise, and a signal floor, each with additive slack."""
-    s1x2, s1j2, sru2 = region_quantities(state)
-    return (
-        s1x2 <= 2.0 * target.lambda_top + slack
-        and s1j2 <= target.lambda_r - target.gap / 2.0 + slack
-        and sru2 >= target.gap / 4.0 - slack
-    )
+    return region_quantities(Sigma(target).to_eigen(state.x), target, slack)[3]
 
 
 def in_region_r2(state: FactorState, target: Target, slack: float = DEFAULT_REGION_SLACK) -> bool:
     """Membership in the larger absorbing region without the signal floor."""
-    s1x2, s1j2, _ = region_quantities(state)
-    return (
-        s1x2 <= 2.0 * target.lambda_top + slack
-        and s1j2 <= target.lambda_r - target.gap / 2.0 + slack
-    )
+    return region_quantities(Sigma(target).to_eigen(state.x), target, slack)[4]
 
 
 def max_step_size(target: Target) -> float:
@@ -184,7 +115,8 @@ def max_step_size(target: Target) -> float:
 
 
 def noise_signal_ratio(state: FactorState) -> float:
-    """sigma_1^2(J) / sigma_r^2(U); inf when the signal block is singular."""
+    """sigma_1^2(J) / sigma_r^2(U) of an iterate in eigenbasis coordinates;
+    inf when the signal block is singular."""
     u, j = split_blocks(state)
     s1j = linalg.singular_values(j)[0]
     sru = linalg.singular_values(u)[-1]
@@ -195,7 +127,7 @@ def noise_signal_ratio(state: FactorState) -> float:
 
 def signal_residual(state: FactorState, target: Target) -> float:
     """sigma_1 of the signal residual Lambda_r - U U^T."""
-    u, _ = split_blocks(state)
+    u = Sigma(target).to_eigen(state.x)[: target.rank]
     p = np.diag(target.leading) - u @ u.T
     return float(linalg.singular_values(p)[0])
 
@@ -221,10 +153,10 @@ def _error_fn(target: Target):
     and each block has a small Gram representation."""
     r = target.rank
     lam_r = np.diag(target.leading)
-    basis = target.basis
+    to_eigen = Sigma(target).to_eigen
 
     def err(x: np.ndarray) -> float:
-        z = x if basis is None else basis.T @ x
+        z = to_eigen(x)
         u, j = z[:r], z[r:]
         top = lam_r - u @ u.T
         gram_u = u.T @ u
@@ -244,16 +176,16 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     state0 : FactorState
         Initial iterate; its dimensions must match the target.
     target : Target
-        PSD target with a positive eigengap. Block diagnostics assume the
-        target is expressed in its eigenbasis (identity basis).
+        PSD target with a positive eigengap, diagonal or rotated; block
+        diagnostics are taken in its eigenbasis coordinates.
     config : SolverConfig
         Step size, tolerance, budget, and recording cadence.
 
     Returns
     -------
     Trace
-        One record every ``record_every`` iterations plus the first and
-        last, with ``converged`` stating whether the tolerance was met.
+        One TraceRecord every ``record_every`` iterations plus the first
+        and last, with ``converged`` stating whether the tolerance was met.
 
     Raises
     ------
@@ -265,48 +197,23 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
         raise ValueError(f"state is {state0.dim}-dimensional, target is {target.dim}")
     if not target.is_psd:
         raise ValueError("symmetric solver requires a PSD target")
+    op = Sigma(target)
     err_fn = _error_fn(target)
     lam_r_diag = np.diag(target.leading)
     r = target.rank
-    lam1, gap, lam_r = target.lambda_top, target.gap, target.lambda_r
+    eta, epsilon = config.eta, config.epsilon
 
-    def make_record(t, x, err):
-        u, j = x[:r], x[r:]
-        s1x = float(linalg.singular_values(x)[0])
-        s1j = float(linalg.singular_values(j)[0])
-        sru = float(linalg.singular_values(u)[-1])
+    def measure(x):
+        norm = float(np.linalg.norm(x))
+        err = err_fn(x)
+        return x, norm, err, err <= epsilon, None
+
+    def record(t, x, err, _):
+        z = op.to_eigen(x)
+        s1x, s1j, sru, in_r, in_r2 = region_quantities(z, target)
         ratio = math.inf if sru <= SIGNAL_FLOOR else (s1j / sru) ** 2
+        u = z[:r]
         s1p = float(linalg.singular_values(lam_r_diag - u @ u.T)[0])
-        slack = DEFAULT_REGION_SLACK
-        in_r2 = s1x ** 2 <= 2 * lam1 + slack and s1j ** 2 <= lam_r - gap / 2 + slack
-        in_r = in_r2 and sru ** 2 >= gap / 4 - slack
         return TraceRecord(t, err, s1x, s1j, sru, ratio, s1p, in_r, in_r2)
 
-    records = []
-    x = state0.x.copy()
-    eta = config.eta
-    converged = False
-    t = 0
-    start = time.perf_counter()
-    while True:
-        norm = float(np.linalg.norm(x))
-        diverged = norm >= DIVERGENCE_LIMIT
-        err = err_fn(x)
-        terminal = diverged or err <= config.epsilon or t >= config.max_iters
-        if t % config.record_every == 0 or terminal:
-            records.append(make_record(t, x, err))
-        if diverged:
-            wall = time.perf_counter() - start
-            trace = Trace(records, False, t, err, wall, FactorState(x))
-            raise DivergenceError(
-                f"iterate norm {norm:.3e} reached the divergence guard at iteration {t}", trace
-            )
-        if err <= config.epsilon:
-            converged = True
-            break
-        if t >= config.max_iters:
-            break
-        x = x + eta * (_sigma_product(target, x) - x @ (x.T @ x))
-        t += 1
-    wall = time.perf_counter() - start
-    return Trace(records, converged, t, err, wall, FactorState(x))
+    return iterate(state0.x.copy(), lambda x, _: _step(op, x, eta), measure, record, config, FactorState)

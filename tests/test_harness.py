@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -138,6 +141,21 @@ def test_asym_experiment_variants(tmp_path):
     assert set(rows[0]) == {"iter", "error", "balance"}
 
 
+def test_asym_indefinite_spectrum_takes_the_dense_path(tmp_path):
+    # The SVD truncation of diag(3, 2, 1, -5) at rank 2 keeps 5 and 3, so the
+    # diagonal fast path (which would keep 3 and 2) must not be taken here.
+    payload = {
+        "kind": "asym", "dim": 4, "rank": 2,
+        "spectrum": {"explicit": [3.0, 2.0, 1.0, -5.0]},
+        "eta": 0.05, "epsilon": 1e-6, "max_iters": 20000,
+        "init": {"alpha": 0.5, "seed": 1}, "repeats": 1, "regularized": True,
+        "out_dir": str(tmp_path / "asym"),
+    }
+    (run,) = run_experiment(parse_config(payload)).summary["runs"]
+    assert run["converged"] and run["iterations"] == 303
+    assert run["final_error"] == pytest.approx(9.580858357552376e-07, rel=1e-9)
+
+
 def test_eig_experiment_methods(tmp_path):
     payload = {
         "kind": "eig", "dim": 12, "rank": 2,
@@ -170,6 +188,22 @@ def test_bench_summary_shape(tmp_path):
         assert stats["runs"] == 4
         assert stats["total_wall_time_s"] > 0
     assert bench["saving_fraction"] is not None
+
+
+def test_bench_record_every_reaches_csv_rows(tmp_path):
+    payload = {
+        "kind": "bench", "dim": 40, "rank": 3,
+        "spectrum": {"experiment": {"hi": 7, "lo": 2}},
+        "eta": 0.05, "epsilon": 1e-4, "max_iters": 10000,
+        "init": {"alpha": 1.0, "seed": 1}, "repeats": 2, "record_every": 7,
+        "out_dir": str(tmp_path / "bench"),
+    }
+    result = run_experiment(parse_config(payload))
+    for run_info in result.summary["runs"]:
+        with open(run_info["csv_path"], newline="") as fh:
+            iters = [int(row["iter"]) for row in csv.DictReader(fh)]
+        n = run_info["iterations"]
+        assert iters == list(range(0, n, 7)) + [n]
 
 
 def test_unwritable_out_dir(tmp_path):
@@ -258,3 +292,33 @@ def test_cli_seed_override(tmp_path):
 def test_cli_bench_requires_bench_kind(tmp_path, capsys):
     cfg_path = write_config(tmp_path, MINIMAL_SYM)
     assert cli_main(["bench", "--config", str(cfg_path)]) == 2
+
+
+def _cli_subprocess(tmp_path, payload, command="run"):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    cfg_path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "lowrank_gd.cli", command, "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _assert_config_error(proc, key):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("config error:")]
+    assert len(lines) == 1 and key in lines[0]
+
+
+def test_cli_rejects_eta_above_one(tmp_path):
+    _assert_config_error(_cli_subprocess(tmp_path, dict(MINIMAL_SYM, eta=2.0)), "'eta'")
+
+
+@pytest.mark.parametrize("kind", ["sym", "eig", "bench"])
+def test_cli_rejects_indefinite_spectrum(tmp_path, kind):
+    payload = dict(MINIMAL_SYM, kind=kind, dim=4, rank=2, spectrum={"explicit": [3, 2, 1, -1]})
+    command = "bench" if kind == "bench" else "run"
+    _assert_config_error(_cli_subprocess(tmp_path, payload, command), "'spectrum'")
+

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lowrank_gd import best_rank_r, experiment_spectrum, make_diagonal_target, make_target
+from conftest import random_orthogonal
+from lowrank_gd import Sigma, best_rank_r, experiment_spectrum, make_diagonal_target, make_target
 
 
 def givens(theta):
@@ -115,3 +116,45 @@ def test_projector_fixes_truncation():
 def test_basis_must_be_orthonormal():
     with pytest.raises(ValueError, match="orthonormal"):
         make_target([2.0, 1.0], rank=1, basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+# --- Sigma operator -------------------------------------------------------------
+
+def test_sigma_products_match_the_dense_matrix(rng):
+    values = [3.0, 2.0, 1.0, -0.5]
+    v = rng.normal(size=(4, 2))
+    for target in (make_diagonal_target(values, 4, 2),
+                   make_target(values, 2, basis=random_orthogonal(rng, 4))):
+        for svd in (False, True):
+            op = Sigma(target, svd=svd)
+            np.testing.assert_allclose(op.apply(v), target.matrix @ v, atol=1e-14)
+            np.testing.assert_allclose(op.apply_t(v), target.matrix.T @ v, atol=1e-14)
+    rect = rng.normal(size=(3, 4))
+    op = Sigma(rect, svd=True)
+    np.testing.assert_allclose(op.apply(v), rect @ v)
+    w = rng.normal(size=(3, 2))
+    np.testing.assert_allclose(op.apply_t(w), rect.T @ w)
+
+
+def test_sigma_path_choice():
+    nonneg = make_diagonal_target([3.0, 2.0, 1.0, 0.0], 4, 2)
+    indefinite = make_diagonal_target([3.0, 2.0, 1.0, -5.0], 4, 2)
+    assert Sigma(nonneg).diag is not None and Sigma(nonneg, svd=True).diag is not None
+    # eigen-truncation of a diagonal target is its first r entries; SVD
+    # truncation is not once an entry is negative
+    assert Sigma(indefinite).diag is not None
+    assert Sigma(indefinite, svd=True).diag is None
+    assert Sigma(np.diag([3.0, 2.0, 1.0]), svd=True).diag is not None
+    assert Sigma(np.diag([3.0, 2.0, 1.0])).diag is None
+    assert Sigma(np.diag([1.0, 2.0, 3.0]), svd=True).diag is None
+    assert Sigma(np.ones((3, 3)), svd=True).diag is None
+
+
+def test_sigma_to_eigen(rng):
+    basis = random_orthogonal(rng, 4)
+    x = rng.normal(size=(4, 2))
+    np.testing.assert_allclose(Sigma(make_target([3.0, 2.0, 1.0, 0.5], 2, basis=basis)).to_eigen(x),
+                               basis.T @ x)
+    assert Sigma(make_diagonal_target([3.0, 2.0, 1.0, 0.5], 4, 2)).to_eigen(x) is x
+    with pytest.raises(ValueError, match="eigenbasis"):
+        Sigma(np.ones((4, 4))).to_eigen(x)

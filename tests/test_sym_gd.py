@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_psd_target, sample_state_in_region, scaled_random_state
+from conftest import random_orthogonal, random_psd_target, sample_state_in_region, scaled_random_state
 from lowrank_gd import (
     DivergenceError,
     FactorState,
     SolverConfig,
     approximation_error,
     best_rank_r,
+    gaussian_factor,
     gd_step,
     in_region_r,
     in_region_r2,
     local_iteration_budget,
     make_diagonal_target,
+    make_target,
     max_step_size,
     noise_signal_ratio,
     run,
@@ -209,6 +213,33 @@ def test_run_divergence_guard_carries_trace():
     trace = excinfo.value.trace
     assert trace is not None and not trace.converged
     assert len(trace.records) >= 1
+
+
+ROTATED_FLOATS = ("error", "sigma1_x", "sigma1_j", "sigmar_u", "ratio", "sigma1_p")
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rotated_target_records_match_diagonal(seed):
+    # Rotating target and iterate by the same orthogonal basis leaves every
+    # diagnostic unchanged: they are taken in eigenbasis coordinates.
+    d, r = 50, 3
+    values = np.concatenate([np.linspace(3.0, 2.0, r), np.linspace(1.0, 0.5, d - r)])
+    basis = random_orthogonal(np.random.default_rng(seed), d)
+    x0 = 0.5 * gaussian_factor(d, r, seed=1)
+    # a fixed budget (epsilon out of reach) so both runs record the same iterations
+    cfg = SolverConfig(eta=0.05, epsilon=1e-12, max_iters=430, record_every=10)
+    rotated_target = make_target(values, r, basis=basis)
+    plain = run(FactorState(x0), make_diagonal_target(values, d, r), cfg)
+    rotated = run(FactorState(basis @ x0), rotated_target, cfg)
+    assert [rec.iter for rec in rotated.records] == [rec.iter for rec in plain.records]
+    for want, got in zip(plain.records, rotated.records):
+        for name in ROTATED_FLOATS:
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-8, abs=1e-10), name
+    final = plain.records[-1]
+    assert final.in_r and final.in_r2
+    assert (rotated.records[-1].in_r, rotated.records[-1].in_r2) == (final.in_r, final.in_r2)
+    assert in_region_r(rotated.final_state, rotated_target)
 
 
 def test_run_rejects_indefinite_target():
