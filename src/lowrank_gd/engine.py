@@ -88,14 +88,14 @@ def iterate(x, step, measure, record, config: SolverConfig, wrap) -> Trace:
     covers the loop only.
 
     Raises DivergenceError, carrying the trace so far, when the norm
-    reaches DIVERGENCE_LIMIT.
+    reaches DIVERGENCE_LIMIT or is NaN.
     """
     records = []
     t = 0
     start = time.perf_counter()
     while True:
         x, norm, err, done, aux = measure(x)
-        diverged = norm >= DIVERGENCE_LIMIT
+        diverged = not norm < DIVERGENCE_LIMIT  # also catches a NaN norm
         terminal = diverged or done or t >= config.max_iters
         if t % config.record_every == 0 or terminal:
             records.append(record(t, x, err, aux))

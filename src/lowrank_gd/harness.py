@@ -5,15 +5,14 @@ Every kind builds one diagonal Target from the configured spectrum and
 hands it to its solver: "sym" to the symmetric one, "asym" to the
 two-factor one, "eig" to the eigenspace one, and "bench" times the two
 eigenspace methods back to back. Each (variant, repeat) is one job run
-by ``_execute``; CSV columns are the fields of the solver's records.
-Repeats draw their seeds as base_seed + index, so re-running a config
-reproduces every CSV byte for byte.
+by ``_execute``, one after another in the order ``_build_jobs`` lists
+them; BLAS threads are the only parallelism. CSV columns are the fields
+of the solver's records. Repeats draw their seeds as base_seed + index,
+so re-running a config reproduces every CSV byte for byte.
 """
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -211,6 +210,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"invalid value for 'spectrum': kind {kind!r} needs a PSD spectrum, "
             f"got smallest eigenvalue {target.eigenvalues[-1]:g}"
         )
+    if scheme == "small":
+        try:
+            initialization.small_alpha_bound(target, eta, multiplier)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for 'init.scheme': 'small' needs a defined bound: {exc}") from exc
 
     return ExperimentConfig(
         kind=kind, dim=dim, rank=rank, values=values, eta=eta, epsilon=epsilon,
@@ -247,17 +251,6 @@ def _write_csv(path: Path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _worker_count() -> int:
-    env = os.environ.get("LOWRANK_GD_THREADS", "")
-    if env.strip():
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"LOWRANK_GD_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def _alpha_for(config: ExperimentConfig, alpha: float, target) -> float:
     if config.scheme == "small":
         return initialization.small_alpha_bound(target, config.eta, config.multiplier)
@@ -272,11 +265,12 @@ def _alpha_regime(target, eta: float, alpha: float) -> str:
     return "small" if alpha <= bound else "moderate"
 
 
-def _solver_config(config: ExperimentConfig) -> engine.SolverConfig:
-    return engine.SolverConfig(
-        eta=config.eta, epsilon=config.epsilon, max_iters=config.max_iters,
-        record_every=config.record_every,
-    )
+def _eta_within_theory(target, eta: float):
+    """eta <= the symmetric step size bound, or None where it is undefined."""
+    try:
+        return bool(eta <= sym_gd.max_step_size(target))
+    except ValueError:
+        return None
 
 
 def _build_jobs(config: ExperimentConfig, target, seed_base: int):
@@ -284,7 +278,8 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
     Bench jobs use the first alpha only and interleave the methods within
     each repeat."""
     if config.kind == "bench":
-        return [(_SHORT[m], rep, seed_base + rep, {"alpha": config.alphas[0], "method": m})
+        alpha = _alpha_for(config, config.alphas[0], target)
+        return [(_SHORT[m], rep, seed_base + rep, {"alpha": alpha, "method": m})
                 for rep in range(config.repeats) for m in config.methods]
     jobs = []
     for alpha in config.alphas:
@@ -306,7 +301,7 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
 
 def _solve(config: ExperimentConfig, target, seed: int, params: dict) -> engine.Trace:
     d, r, alpha = config.dim, config.rank, params["alpha"]
-    solver_cfg = _solver_config(config)
+    solver_cfg = engine.SolverConfig(config.eta, config.epsilon, config.max_iters, config.record_every)
     if config.kind == "sym":
         x0 = alpha * initialization.gaussian_factor(d, r, seed)
         return sym_gd.run(sym_gd.FactorState(x0), target, solver_cfg)
@@ -385,13 +380,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
         runs, bench = _run_bench(config, target, seed_base, out)
     else:
         bench = None
-        jobs = _build_jobs(config, target, seed_base)
-        workers = min(_worker_count(), len(jobs))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(lambda j: _execute(config, target, j, out), jobs))
-        else:
-            runs = [_execute(config, target, job, out) for job in jobs]
+        runs = [_execute(config, target, job, out) for job in _build_jobs(config, target, seed_base)]
     csv_paths = [res.csv_path for res in runs]
     diverged_any = any(res.diverged for res in runs)
 
@@ -400,7 +389,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
         "seed_base": seed_base,
         "epsilon": config.epsilon,
         "eta": config.eta,
-        "eta_within_theory": bool(config.eta <= sym_gd.max_step_size(target)),
+        "eta_within_theory": _eta_within_theory(target, config.eta),
         "alpha_regimes": {
             f"{a:g}": _alpha_regime(target, config.eta, _alpha_for(config, a, target))
             for a in config.alphas

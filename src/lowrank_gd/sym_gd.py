@@ -83,28 +83,44 @@ def split_blocks(state: FactorState):
     return state.x[:r], state.x[r:]
 
 
-def region_quantities(z: np.ndarray, target: Target, slack: float = DEFAULT_REGION_SLACK):
-    """(sigma_1(X), sigma_1(J), sigma_r(U), in R, in R2) of an iterate ``z``
-    in the target's eigenbasis coordinates, where U is its top r rows and
-    J the rest. Region membership carries additive slack on each clause."""
-    r = target.rank
-    s1x = float(linalg.singular_values(z)[0])
-    s1j = float(linalg.singular_values(z[r:])[0])
-    sru = float(linalg.singular_values(z[:r])[-1])
+def _block_values(u: np.ndarray, gram_u: np.ndarray, gram_j: np.ndarray):
+    """(sigma_1(X), sigma_1(J), sigma_r(U), sigma_1^2(J) / sigma_r^2(U)) of an
+    iterate in eigenbasis coordinates, from its signal block U and the r x r
+    Gram blocks G_u = U^T U, G_j = J^T J: sigma_1 of X and J are roots of the
+    top singular values of the PSD G_u + G_j and G_j (relative error O(r eps)),
+    so no d x r matrix is decomposed. The ratio is inf for a singular U."""
+    s1x = math.sqrt(linalg.singular_values(gram_u + gram_j)[0])
+    s1j = math.sqrt(linalg.singular_values(gram_j)[0])
+    sru = float(linalg.singular_values(u)[-1])
+    ratio = math.inf if sru <= SIGNAL_FLOOR else (s1j / sru) ** 2
+    return s1x, s1j, sru, ratio
+
+
+def region_quantities(u, gram_u, gram_j, target: Target, slack: float = DEFAULT_REGION_SLACK):
+    """``_block_values`` plus membership in R and R2 of an iterate in the
+    target's eigenbasis coordinates, given as its top r rows U, U^T U and
+    J^T J. Region membership carries additive slack on each clause."""
+    s1x, s1j, sru, ratio = _block_values(u, gram_u, gram_j)
     in_r2 = s1x ** 2 <= 2 * target.lambda_top + slack and s1j ** 2 <= target.lambda_r - target.gap / 2 + slack
     in_r = in_r2 and sru ** 2 >= target.gap / 4 - slack
-    return s1x, s1j, sru, in_r, in_r2
+    return s1x, s1j, sru, ratio, in_r, in_r2
+
+
+def _regions(state: FactorState, target: Target, slack: float):
+    z = Sigma(target).to_eigen(state.x)
+    u, j = z[: target.rank], z[target.rank :]
+    return region_quantities(u, u.T @ u, j.T @ j, target, slack)
 
 
 def in_region_r(state: FactorState, target: Target, slack: float = DEFAULT_REGION_SLACK) -> bool:
     """Membership in the absorbing region: bounded magnitude, controlled
     noise, and a signal floor, each with additive slack."""
-    return region_quantities(Sigma(target).to_eigen(state.x), target, slack)[3]
+    return _regions(state, target, slack)[4]
 
 
 def in_region_r2(state: FactorState, target: Target, slack: float = DEFAULT_REGION_SLACK) -> bool:
     """Membership in the larger absorbing region without the signal floor."""
-    return region_quantities(Sigma(target).to_eigen(state.x), target, slack)[4]
+    return _regions(state, target, slack)[5]
 
 
 def max_step_size(target: Target) -> float:
@@ -118,11 +134,7 @@ def noise_signal_ratio(state: FactorState) -> float:
     """sigma_1^2(J) / sigma_r^2(U) of an iterate in eigenbasis coordinates;
     inf when the signal block is singular."""
     u, j = split_blocks(state)
-    s1j = linalg.singular_values(j)[0]
-    sru = linalg.singular_values(u)[-1]
-    if sru <= SIGNAL_FLOOR:
-        return math.inf
-    return (s1j * s1j) / (sru * sru)
+    return _block_values(u, u.T @ u, j.T @ j)[3]
 
 
 def signal_residual(state: FactorState, target: Target) -> float:
@@ -144,13 +156,14 @@ def local_iteration_budget(target: Target, eta: float, epsilon: float) -> int:
 
 def approximation_error(state: FactorState, target: Target) -> float:
     """Frobenius error against the best rank-r approximation of the target."""
-    return _error_fn(target)(state.x)
+    return _error_fn(target)(state.x)[0]
 
 
 def _error_fn(target: Target):
     """Closure evaluating ||Sigma_r - X X^T||_F without forming d x d
     matrices: in eigenbasis coordinates the difference is block-structured
-    and each block has a small Gram representation."""
+    and each block has a small Gram representation. It returns the error
+    and the blocks ``(U, Lambda_r - U U^T, U^T U, J^T J)`` for the record."""
     r = target.rank
     lam_r = np.diag(target.leading)
     to_eigen = Sigma(target).to_eigen
@@ -162,7 +175,7 @@ def _error_fn(target: Target):
         gram_u = u.T @ u
         gram_j = j.T @ j
         sq = float(np.sum(top * top) + 2.0 * np.sum(gram_u * gram_j) + np.sum(gram_j * gram_j))
-        return math.sqrt(max(sq, 0.0))
+        return math.sqrt(max(sq, 0.0)), (u, top, gram_u, gram_j)
 
     return err
 
@@ -199,21 +212,17 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
         raise ValueError("symmetric solver requires a PSD target")
     op = Sigma(target)
     err_fn = _error_fn(target)
-    lam_r_diag = np.diag(target.leading)
-    r = target.rank
     eta, epsilon = config.eta, config.epsilon
 
     def measure(x):
         norm = float(np.linalg.norm(x))
-        err = err_fn(x)
-        return x, norm, err, err <= epsilon, None
+        err, blocks = err_fn(x)
+        return x, norm, err, err <= epsilon, blocks
 
-    def record(t, x, err, _):
-        z = op.to_eigen(x)
-        s1x, s1j, sru, in_r, in_r2 = region_quantities(z, target)
-        ratio = math.inf if sru <= SIGNAL_FLOOR else (s1j / sru) ** 2
-        u = z[:r]
-        s1p = float(linalg.singular_values(lam_r_diag - u @ u.T)[0])
+    def record(t, x, err, blocks):
+        u, top, gram_u, gram_j = blocks
+        s1x, s1j, sru, ratio, in_r, in_r2 = region_quantities(u, gram_u, gram_j, target)
+        s1p = float(linalg.singular_values(top)[0])
         return TraceRecord(t, err, s1x, s1j, sru, ratio, s1p, in_r, in_r2)
 
     return iterate(state0.x.copy(), lambda x, _: _step(op, x, eta), measure, record, config, FactorState)

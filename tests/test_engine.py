@@ -1,0 +1,33 @@
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from lowrank_gd import DivergenceError, SolverConfig
+from lowrank_gd.engine import iterate
+
+
+@dataclass
+class Rec:
+    iter: int
+    error: float
+
+
+def test_nan_norm_trips_the_divergence_guard():
+    # A NaN norm compares False against any limit, so a guard written as
+    # ``norm >= limit`` would let the run spin on NaN to the budget.
+    def measure(x):
+        norm = float(np.linalg.norm(x))
+        return x, norm, norm, False, None
+
+    def step(x, _):
+        return x + 1.0 if x[0] < 3.0 else np.full_like(x, np.nan)
+
+    config = SolverConfig(eta=0.1, epsilon=1e-6, max_iters=100)
+    with pytest.raises(DivergenceError) as excinfo:
+        iterate(np.zeros(2), step, measure, lambda t, x, err, _: Rec(t, err), config, np.copy)
+    trace = excinfo.value.trace
+    assert not trace.converged and trace.iterations == 4
+    assert [rec.iter for rec in trace.records] == [0, 1, 2, 3, 4]
+    assert math.isnan(trace.final_error) and np.isnan(trace.final_state).all()

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowrank_gd import ConfigError, emit_plot, load_config, parse_config, run_experiment
+from lowrank_gd import (
+    ConfigError,
+    emit_plot,
+    load_config,
+    make_diagonal_target,
+    parse_config,
+    run_experiment,
+    small_alpha_bound,
+)
+from lowrank_gd import harness
 from lowrank_gd.cli import main as cli_main
 
 MINIMAL_SYM = {
@@ -117,14 +126,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert blobs1 == blobs2
 
 
-def test_thread_cap_preserves_output(tmp_path, monkeypatch):
-    cfg = parse_config(dict(MINIMAL_SYM, repeats=3, out_dir=str(tmp_path / "t")))
-    serial = [Path(p).read_bytes() for p in run_experiment(cfg).csv_paths]
-    monkeypatch.setenv("LOWRANK_GD_THREADS", "3")
-    threaded = [Path(p).read_bytes() for p in run_experiment(cfg).csv_paths]
-    assert serial == threaded
-
-
 def test_asym_experiment_variants(tmp_path):
     payload = {
         "kind": "asym", "dim": 6, "rank": 2,
@@ -204,6 +205,21 @@ def test_bench_record_every_reaches_csv_rows(tmp_path):
             iters = [int(row["iter"]) for row in csv.DictReader(fh)]
         n = run_info["iterations"]
         assert iters == list(range(0, n, 7)) + [n]
+
+
+def test_bench_jobs_run_at_the_alpha_their_scheme_derives():
+    payload = {
+        "kind": "bench", "dim": 40, "rank": 3,
+        "spectrum": {"experiment": {"hi": 7, "lo": 2}},
+        "eta": 0.05, "epsilon": 1e-4, "max_iters": 10000,
+        "init": {"scheme": "small", "alpha": 1.0, "multiplier": 2.0, "seed": 1}, "repeats": 2,
+    }
+    cfg = parse_config(payload)
+    target = make_diagonal_target(cfg.values, cfg.dim, cfg.rank)
+    bound = small_alpha_bound(target, cfg.eta, cfg.multiplier)
+    jobs = harness._build_jobs(cfg, target, cfg.seed)
+    assert len(jobs) == 4 and bound < 1.0
+    assert all(params["alpha"] == bound for _, _, _, params in jobs)
 
 
 def test_unwritable_out_dir(tmp_path):
@@ -322,3 +338,23 @@ def test_cli_rejects_indefinite_spectrum(tmp_path, kind):
     command = "bench" if kind == "bench" else "run"
     _assert_config_error(_cli_subprocess(tmp_path, payload, command), "'spectrum'")
 
+
+NEGATIVE_ASYM = dict(MINIMAL_SYM, kind="asym", dim=4, rank=2, eta=0.05,
+                     spectrum={"explicit": [-1, -2, -3, -4]})
+
+
+def test_cli_asym_without_positive_eigenvalue_reports_unknown_theory(tmp_path):
+    # The step size bound needs a positive top eigenvalue; the summary
+    # reports it as unknown instead of crashing after the runs.
+    proc = _cli_subprocess(tmp_path, NEGATIVE_ASYM)
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert proc.returncode == (1 if summary["any_diverged"] else 0), proc.stderr
+    assert summary["eta_within_theory"] is None
+    assert summary["alpha_regimes"] == {"0.5": "unknown"}
+    assert len(summary["runs"]) == 2
+
+
+def test_cli_rejects_small_scheme_without_a_bound(tmp_path):
+    payload = dict(NEGATIVE_ASYM, init={"scheme": "small", "alpha": 0.5, "seed": 1})
+    _assert_config_error(_cli_subprocess(tmp_path, payload), "'init.scheme'")

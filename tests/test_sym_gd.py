@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from lowrank_gd import (
     signal_residual,
     split_blocks,
 )
-from lowrank_gd import experiment_spectrum
+from lowrank_gd import experiment_spectrum, load_config
+from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TOY = make_diagonal_target([2.0, 1.0], 2, 1)
 
@@ -213,6 +217,39 @@ def test_run_divergence_guard_carries_trace():
     trace = excinfo.value.trace
     assert trace is not None and not trace.converged
     assert len(trace.records) >= 1
+
+
+def test_gram_diagnostics_match_svd_on_shipped_trajectories():
+    # sigma_1(X) and sigma_1(J) are taken from r x r Gram blocks; every
+    # record of the first repeat of each sym_magnitudes alpha is checked
+    # against SVDs of the iterate, rebuilt step by step with gd_step.
+    cfg = load_config(ROOT / "configs" / "sym_magnitudes.json")
+    target = make_diagonal_target(cfg.values, cfg.dim, cfg.rank)
+    r, slack, lam_r = cfg.rank, DEFAULT_REGION_SLACK, np.diag(target.leading)
+    solver_cfg = SolverConfig(cfg.eta, cfg.epsilon, cfg.max_iters, record_every=1)
+
+    def sv(m):
+        return np.linalg.svd(m, compute_uv=False)
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    for alpha in cfg.alphas:
+        state = FactorState(alpha * gaussian_factor(cfg.dim, r, cfg.seed))
+        trace = run(state, target, solver_cfg)
+        assert len(trace.records) == trace.iterations + 1
+        for t, rec in enumerate(trace.records):
+            if t:
+                state = gd_step(state, target, cfg.eta)
+            x = state.x
+            s1x, s1j, sru = sv(x)[0], sv(x[r:])[0], sv(x[:r])[-1]
+            in_r2 = s1x**2 <= 2 * target.lambda_top + slack and s1j**2 <= target.lambda_r - target.gap / 2 + slack
+            in_r = in_r2 and sru**2 >= target.gap / 4 - slack
+            assert close(rec.sigma1_x, s1x) and close(rec.sigma1_j, s1j), (alpha, t)
+            assert close(rec.ratio, (s1j / sru) ** 2), (alpha, t)
+            want = (t, approximation_error(state, target), sru, sv(lam_r - x[:r] @ x[:r].T)[0], in_r, in_r2)
+            assert (rec.iter, rec.error, rec.sigmar_u, rec.sigma1_p, rec.in_r, rec.in_r2) == want, (alpha, t)
+        assert np.array_equal(state.x, trace.final_state.x)
 
 
 ROTATED_FLOATS = ("error", "sigma1_x", "sigma1_j", "sigmar_u", "ratio", "sigma1_p")
