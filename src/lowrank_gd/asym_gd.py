@@ -76,17 +76,26 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
     op = Sigma(sigma, svd=True)
     _check_dims(state, op.shape)
     x, y = state.x, state.y
-    return AsymState(*_step(op, x, y, x.T @ x, y.T @ y, eta, regularized))
+    out = np.empty_like(x), np.empty_like(y)
+    scratch = np.empty_like(x), np.empty_like(y)
+    return AsymState(*_step(op, x, y, x.T @ x, y.T @ y, eta, regularized, out, scratch))
 
 
-def _step(op: Sigma, x, y, gram_x, gram_y, eta: float, regularized: bool):
-    x_next = x + eta * (op.apply(y) - x @ gram_y)
-    y_next = y + eta * (op.apply_t(x) - y @ gram_x)
+def _step(op: Sigma, x, y, gram_x, gram_y, eta: float, regularized: bool, out, scratch):
+    """The update of ``asym_step`` written into the pair ``out``, with the
+    products held in the pair ``scratch``."""
+    x_next, y_next = out
+    sx, sy = scratch
+    linalg.descent_update(op.apply(y, out=x_next), x, gram_y, eta, sx)
+    linalg.descent_update(op.apply_t(x, out=y_next), y, gram_x, eta, sy)
     if regularized:
         imbalance = gram_x - gram_y
-        x_next -= 0.5 * eta * (x @ imbalance)
-        y_next += 0.5 * eta * (y @ imbalance)
-    return x_next, y_next
+        half = 0.5 * eta
+        np.multiply(half, np.matmul(x, imbalance, out=sx), out=sx)
+        np.subtract(x_next, sx, out=x_next)
+        np.multiply(half, np.matmul(y, imbalance, out=sy), out=sy)
+        np.add(y_next, sy, out=y_next)
+    return out
 
 
 def lift(state: AsymState, sigma=None) -> LiftedState:
@@ -172,7 +181,9 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     tolerance, or the budget runs out.
 
     ``sigma`` is a Target or an array. Records (iteration, error, balance)
-    at the configured cadence plus the first and last iterations. Raises
+    at the configured cadence plus the first and last iterations. Steps
+    write into buffers of the run's own, so ``state0`` is never modified;
+    the trace's ``final_state`` holds the last of them. Raises
     DivergenceError, carrying the trace so far, if either factor norm hits
     the divergence guard.
     """
@@ -180,20 +191,27 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     _check_dims(state0, op.shape)
     err_fn = _error_fn(op, state0.rank)
     eta, epsilon = config.eta, config.epsilon
+    # Each step writes into the pair the iterate before last occupied.
+    xy0 = np.array(state0.x, order=op.factor_order), np.array(state0.y, order=op.factor_order)
+    spare = tuple(map(np.empty_like, xy0))
+    scratch = tuple(map(np.empty_like, xy0))
 
     def measure(xy):
         x, y = xy
-        norm = max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
         err = err_fn(x, y)
         grams = x.T @ x, y.T @ y
+        # np.maximum, unlike max, carries a NaN in either trace to the guard.
+        norm = math.sqrt(np.maximum(np.trace(grams[0]), np.trace(grams[1])))
         balance = float(np.linalg.norm(grams[0] - grams[1], "fro"))
         done = err <= epsilon and (not regularized or balance <= epsilon)
         return xy, norm, err, done, (grams, balance)
 
     def step(xy, aux):
-        return _step(op, *xy, *aux[0], eta, regularized)
+        nonlocal spare
+        out, spare = spare, xy
+        return _step(op, *xy, *aux[0], eta, regularized, out, scratch)
 
     return iterate(
-        (state0.x.copy(), state0.y.copy()), step, measure,
+        xy0, step, measure,
         lambda t, xy, err, aux: AsymRecord(t, err, aux[1]), config, lambda xy: AsymState(*xy),
     )

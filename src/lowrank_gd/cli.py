@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Exit codes: 0 on success, 1 when any run diverged, 2 on config errors.
+Exit codes: 0 on success, 1 when any run diverged, 2 on config errors
+(a negative ``--seed`` among them) and on an unwritable output directory.
 """
 
 import argparse
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .harness import ConfigError, emit_plot, load_config, run_experiment
+from .harness import ConfigError, UnwritableOutputError, emit_plot, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,13 +22,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the experiment described by a JSON config")
-    run_p.add_argument("--config", required=True, help="path to the JSON config")
-    run_p.add_argument("--out", default=None, help="output directory (overrides the config)")
-    run_p.add_argument("--seed", type=int, default=None, help="base seed (overrides the config)")
-    run_p.add_argument("--plot", action="store_true", help="emit an SVG log-error plot of all runs")
-
     bench_p = sub.add_parser("bench", help="run the timed eigenspace benchmark")
-    bench_p.add_argument("--config", required=True, help="path to the JSON config")
+    for p in (run_p, bench_p):
+        p.add_argument("--config", required=True, help="path to the JSON config")
+        p.add_argument("--out", default=None, help="output directory (overrides the config)")
+        p.add_argument("--seed", type=int, default=None, help="base seed (overrides the config)")
+    run_p.add_argument("--plot", action="store_true", help="emit an SVG log-error plot of all runs")
     return parser
 
 
@@ -39,13 +39,17 @@ def main(argv=None) -> int:
             raise ConfigError(f"bench subcommand needs kind 'bench', config has {config.kind!r}")
         if args.command == "run" and config.kind == "bench":
             raise ConfigError("kind 'bench' runs through the bench subcommand")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = getattr(args, "out", None)
-    seed = getattr(args, "seed", None)
-    result = run_experiment(config, out_dir=out_dir, seed_override=seed)
+    try:
+        result = run_experiment(config, out_dir=args.out, seed_override=args.seed)
+    except UnwritableOutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     for run in result.summary["runs"]:
         status = "diverged" if run["diverged"] else ("ok" if run["converged"] else "budget")
@@ -61,7 +65,7 @@ def main(argv=None) -> int:
             print(f"retraction-free saving: {100 * saving:.1f}%")
     print(f"summary: {result.summary_path}")
 
-    if getattr(args, "plot", False) and result.csv_paths:
+    if args.command == "run" and args.plot and result.csv_paths:
         plot_path = Path(result.summary_path).parent / "errors.svg"
         emit_plot(result.csv_paths, plot_path)
         print(f"plot: {plot_path}")

@@ -39,6 +39,10 @@ class ConfigError(ValueError):
     """A config file failed to parse or validate."""
 
 
+class UnwritableOutputError(OSError):
+    """The output directory cannot be created or written to."""
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -371,7 +375,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise OSError(f"output directory {out} is not writable: {exc}") from exc
+        raise UnwritableOutputError(f"output directory {out} is not writable: {exc}") from exc
 
     seed_base = config.seed if seed_override is None else int(seed_override)
     target = spectrum.make_diagonal_target(config.values, config.dim, config.rank)

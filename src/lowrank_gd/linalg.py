@@ -1,6 +1,7 @@
 """Dense matrix kernels shared by every solver module.
 
-All routines operate on plain 2-D float64 numpy arrays and are pure
+All routines operate on plain 2-D float64 numpy arrays. Apart from
+``descent_update``, the solvers' in-place step kernel, they are pure
 functions of their inputs. Decompositions are delegated to LAPACK via
 numpy; the wrappers pin down validation, ordering conventions, and the
 error behaviour the solvers rely on.
@@ -13,7 +14,8 @@ import numpy as np
 # floating-point updates do not poison eigensolves.
 SYMMETRY_TOL = 1e-12
 
-# Smallest admissible eigenvalue for inverse-square-root inputs.
+# Smallest admissible eigenvalue for inverse-square-root inputs, relative
+# to the largest one.
 SPD_MIN_EIG = 1e-12
 
 
@@ -50,6 +52,19 @@ def singular_values(m) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalError(f"singular value iteration did not converge: {exc}") from exc
+
+
+def descent_update(acc: np.ndarray, x: np.ndarray, gram: np.ndarray, eta: float,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Overwrite ``acc`` (holding Sigma x) with x + eta * (acc - x @ gram),
+    in that operation order, and return it. ``scratch``, shaped like x,
+    receives x @ gram; neither buffer may alias x. The factored updates of
+    both GD solvers are this kernel, so a run that reuses its buffers
+    computes the same bits as one that allocates every step."""
+    np.matmul(x, gram, out=scratch)
+    np.subtract(acc, scratch, out=acc)
+    np.multiply(eta, acc, out=acc)
+    return np.add(x, acc, out=acc)
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
@@ -101,17 +116,19 @@ def spd_inv_sqrt(s) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
     Returns the symmetric ``R`` with ``R @ S @ R = I``. Raises ValueError
-    when the smallest eigenvalue is at or below ``SPD_MIN_EIG``, which for
-    the retraction use case signals a rank-deficient frame.
+    when the smallest eigenvalue is at or below ``SPD_MIN_EIG`` times the
+    largest, which for the retraction use case signals a rank-deficient
+    frame. The test is relative, so a full-rank frame of any scale passes,
+    as the retraction L (L^T L)^(-1/2) is scale-invariant.
     """
     a = _require_symmetric(as_matrix(s, "spd_inv_sqrt input"), "spd_inv_sqrt input")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"symmetric eigensolve did not converge: {exc}") from exc
-    if w[0] <= SPD_MIN_EIG:
+    if w[0] <= SPD_MIN_EIG * w[-1]:
         raise ValueError(
-            f"matrix is not positive definite (smallest eigenvalue {w[0]:.3e}): "
+            f"matrix is not positive definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e}): "
             "frame is rank deficient"
         )
     r = (v / np.sqrt(w)) @ v.T

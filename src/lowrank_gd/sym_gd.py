@@ -67,11 +67,13 @@ def gd_step(state: FactorState, target, eta: float) -> FactorState:
         raise ValueError(f"eta must be positive, got {eta}")
     op = Sigma(target)
     op.check_square(state.dim)
-    return FactorState(_step(op, state.x, eta))
+    x = state.x
+    return FactorState(_step(op, x, eta, np.empty_like(x), np.empty_like(x)))
 
 
-def _step(op: Sigma, x: np.ndarray, eta: float) -> np.ndarray:
-    return x + eta * (op.apply(x) - x @ (x.T @ x))
+def _step(op: Sigma, x: np.ndarray, eta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x + eta * (Sigma x - x (x^T x)) written into ``out``."""
+    return linalg.descent_update(op.apply(x, out=out), x, x.T @ x, eta, scratch)
 
 
 def split_blocks(state: FactorState):
@@ -199,6 +201,8 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     Trace
         One TraceRecord every ``record_every`` iterations plus the first
         and last, with ``converged`` stating whether the tolerance was met.
+        Steps write into buffers of the run's own, so ``state0`` is never
+        modified; ``final_state`` holds the last of them.
 
     Raises
     ------
@@ -213,11 +217,20 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     op = Sigma(target)
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
+    # Each step writes into the buffer the iterate before last occupied.
+    x0 = np.array(state0.x, order=op.factor_order)
+    spare, scratch = np.empty_like(x0), np.empty_like(x0)
 
     def measure(x):
-        norm = float(np.linalg.norm(x))
         err, blocks = err_fn(x)
+        gram_u, gram_j = blocks[2:]
+        norm = math.sqrt(np.trace(gram_u) + np.trace(gram_j))
         return x, norm, err, err <= epsilon, blocks
+
+    def step(x, _):
+        nonlocal spare
+        out, spare = spare, x
+        return _step(op, x, eta, out, scratch)
 
     def record(t, x, err, blocks):
         u, top, gram_u, gram_j = blocks
@@ -225,4 +238,4 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
         s1p = float(linalg.singular_values(top)[0])
         return TraceRecord(t, err, s1x, s1j, sru, ratio, s1p, in_r, in_r2)
 
-    return iterate(state0.x.copy(), lambda x, _: _step(op, x, eta), measure, record, config, FactorState)
+    return iterate(x0, step, measure, record, config, FactorState)

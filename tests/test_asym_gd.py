@@ -6,6 +6,7 @@ import pytest
 from conftest import random_orthogonal
 from lowrank_gd import (
     AsymState,
+    DivergenceError,
     FactorState,
     SolverConfig,
     asym_error,
@@ -13,9 +14,11 @@ from lowrank_gd import (
     balance_gap,
     gd_step,
     lift,
+    make_diagonal_target,
     pad_square,
     run_asym,
 )
+from lowrank_gd.engine import DIVERGENCE_LIMIT
 
 
 def dense_step_oracle(x, y, sigma, eta, regularized):
@@ -181,6 +184,60 @@ def test_run_matches_repeated_steps(rng):
     manual = state
     for _ in range(40):
         manual = asym_step(manual, sigma, 0.05, regularized=True)
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+
+
+def _run_and_step(state, sigma, regularized, iters, eta=0.05):
+    trace = run_asym(state, sigma, SolverConfig(eta=eta, epsilon=1e-14, max_iters=iters), regularized)
+    manual = state
+    for _ in range(trace.iterations):
+        manual = asym_step(manual, sigma, eta, regularized=regularized)
+    return trace, manual
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+@pytest.mark.parametrize("problem", ["indefinite", "rectangular"])
+def test_run_matches_repeated_steps_on_dense_sigma(rng, problem, regularized):
+    # The run applies a dense Sigma into reused buffers, asym_step into
+    # fresh ones: an indefinite Target (not its own SVD) and a d1 != d2 array.
+    if problem == "indefinite":
+        sigma = make_diagonal_target([3.0, 2.0, -1.0, -2.0], 4, 2)
+        state = AsymState(0.1 * rng.normal(size=(4, 2)), 0.1 * rng.normal(size=(4, 2)))
+    else:
+        sigma = rng.normal(size=(6, 4))
+        state = AsymState(0.1 * rng.normal(size=(6, 2)), 0.1 * rng.normal(size=(4, 2)))
+    trace, manual = _run_and_step(state, sigma, regularized, 41)
+    assert trace.iterations == 41
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+
+
+@pytest.mark.parametrize("iters", [1, 2, 5])
+def test_run_leaves_state0_untouched(rng, iters):
+    sigma = np.diag([3.0, 2.0, 1.0, 0.5])
+    state = AsymState(0.1 * rng.normal(size=(4, 2)), 0.1 * rng.normal(size=(4, 2)))
+    before = state.x.copy(), state.y.copy()
+    trace, _ = _run_and_step(state, sigma, True, iters)
+    assert trace.iterations == iters
+    np.testing.assert_array_equal(state.x, before[0])
+    np.testing.assert_array_equal(state.y, before[1])
+    final = trace.final_state
+    assert not any(np.shares_memory(a, b) for a in (final.x, final.y) for b in (state.x, state.y))
+
+
+def test_guard_stop_carries_the_guard_time_iterate():
+    sigma = make_diagonal_target([3.0, 2.0, 1.0, 0.5, 0.2], 5, 2)
+    x0 = np.linspace(-1.0, 1.5, 10).reshape(5, 2)
+    state = AsymState(x0, x0[::-1].copy())
+    with pytest.raises(DivergenceError) as excinfo:
+        run_asym(state, sigma, SolverConfig(eta=0.5, epsilon=1e-9, max_iters=100, record_every=50))
+    trace = excinfo.value.trace
+    assert trace.iterations == 4
+    manual = state
+    for _ in range(4):
+        manual = asym_step(manual, sigma, 0.5)
+    assert max(np.linalg.norm(manual.x), np.linalg.norm(manual.y)) >= DIVERGENCE_LIMIT
     np.testing.assert_array_equal(trace.final_state.x, manual.x)
     np.testing.assert_array_equal(trace.final_state.y, manual.y)
 

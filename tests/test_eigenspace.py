@@ -69,6 +69,13 @@ def test_retract_rejects_rank_deficient():
         retract(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_retract_is_scale_invariant(rng):
+    # The rank test is relative to the frame's own scale: a full-rank frame
+    # shrunk to 1e-7 (Gram eigenvalues near 1e-14) retracts like the original.
+    l = rng.normal(size=(50, 2))
+    np.testing.assert_allclose(retract(1e-7 * l), retract(l), rtol=0, atol=1e-12)
+
+
 def test_rgd_step_fixed_points_and_formula(rng):
     top = EigState(col(1.0, 0.0))
     np.testing.assert_allclose(rgd_step(top, TOY, 0.3).l, top.l, atol=1e-12)

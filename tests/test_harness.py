@@ -310,13 +310,13 @@ def test_cli_bench_requires_bench_kind(tmp_path, capsys):
     assert cli_main(["bench", "--config", str(cfg_path)]) == 2
 
 
-def _cli_subprocess(tmp_path, payload, command="run"):
+def _cli_subprocess(tmp_path, payload, command="run", *options):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     cfg_path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "lowrank_gd.cli", command, "--config", str(cfg_path)],
+        [sys.executable, "-m", "lowrank_gd.cli", command, "--config", str(cfg_path), *options],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -358,3 +358,42 @@ def test_cli_asym_without_positive_eigenvalue_reports_unknown_theory(tmp_path):
 def test_cli_rejects_small_scheme_without_a_bound(tmp_path):
     payload = dict(NEGATIVE_ASYM, init={"scheme": "small", "alpha": 0.5, "seed": 1})
     _assert_config_error(_cli_subprocess(tmp_path, payload), "'init.scheme'")
+
+
+def test_cli_rejects_negative_seed_before_running(tmp_path):
+    _assert_config_error(_cli_subprocess(tmp_path, MINIMAL_SYM, "run", "--seed", "-1"), "--seed")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_unwritable_output_directory(tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    proc = _cli_subprocess(tmp_path, MINIMAL_SYM, "run", "--out", str(blocker / "sub"))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: output directory {blocker / 'sub'} is not writable")
+
+
+def test_cli_eig_run_retracts_a_small_scale_frame(tmp_path):
+    # Gram eigenvalues near 6e-15 at alpha 1e-7: the rank test of the
+    # retraction is relative, so the rgd run completes instead of crashing.
+    payload = dict(MINIMAL_SYM, kind="eig", dim=50, rank=2, spectrum={"experiment": {"hi": 7, "lo": 2}},
+                   eta=0.05, epsilon=1e-4, max_iters=2000, method="rgd",
+                   init={"scheme": "moderate", "alpha": 1e-7, "seed": 1})
+    proc = _cli_subprocess(tmp_path, payload)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["runs"][0]["converged"]
+
+
+def test_cli_bench_takes_out_and_seed(tmp_path, capsys):
+    payload = dict(MINIMAL_SYM, kind="bench", dim=6, rank=2, spectrum={"experiment": {"hi": 3, "lo": 2}},
+                   eta=0.05, epsilon=1e-4, max_iters=2000, repeats=2, out_dir=str(tmp_path / "unused"))
+    out = tmp_path / "bench_out"
+    assert cli_main(["bench", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(out), "--seed", "7"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed_base"] == 7
+    assert sorted({run["seed"] for run in summary["runs"]}) == [7, 8]
+    assert not (tmp_path / "unused").exists()

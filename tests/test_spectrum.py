@@ -136,6 +136,20 @@ def test_sigma_products_match_the_dense_matrix(rng):
     np.testing.assert_allclose(op.apply_t(w), rect.T @ w)
 
 
+def test_sigma_products_write_into_out(rng):
+    values = [3.0, 2.0, 1.0, -0.5]
+    v, w = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+    cases = [(Sigma(make_diagonal_target(values, 4, 2)), v, v),
+             (Sigma(make_target(values, 2, basis=random_orthogonal(rng, 4))), v, v),
+             (Sigma(rng.normal(size=(3, 4)), svd=True), v, w)]
+    for op, right, left in cases:
+        for product, arg in ((op.apply, right), (op.apply_t, left)):
+            want = product(arg)
+            buf = np.empty_like(want)
+            assert product(arg, out=buf) is buf
+            np.testing.assert_array_equal(buf, want)
+
+
 def test_sigma_path_choice():
     nonneg = make_diagonal_target([3.0, 2.0, 1.0, 0.0], 4, 2)
     indefinite = make_diagonal_target([3.0, 2.0, 1.0, -5.0], 4, 2)

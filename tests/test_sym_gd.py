@@ -27,6 +27,7 @@ from lowrank_gd import (
     split_blocks,
 )
 from lowrank_gd import experiment_spectrum, load_config
+from lowrank_gd.engine import DIVERGENCE_LIMIT
 from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -217,6 +218,50 @@ def test_run_divergence_guard_carries_trace():
     trace = excinfo.value.trace
     assert trace is not None and not trace.converged
     assert len(trace.records) >= 1
+
+
+@pytest.mark.parametrize("iters", [1, 2, 7])
+def test_run_leaves_state0_untouched(iters):
+    # The run steps in its own pair of buffers; after an odd or even number
+    # of steps the final iterate is one of them, never the caller's array.
+    target = make_diagonal_target([3.0, 2.0, 1.0, 0.5, 0.2], 5, 2)
+    state = FactorState(np.linspace(-0.4, 0.5, 10).reshape(5, 2))
+    before = state.x.copy()
+    trace = run(state, target, SolverConfig(eta=0.01, epsilon=1e-14, max_iters=iters))
+    assert trace.iterations == iters
+    np.testing.assert_array_equal(state.x, before)
+    assert not np.shares_memory(trace.final_state.x, state.x)
+
+
+def test_run_on_rotated_target_matches_repeated_gd_step():
+    # A rotated target applies its dense matrix into the step's buffer;
+    # every recorded error and the final iterate match fresh gd_step calls
+    # bit for bit.
+    d, r = 30, 3
+    values = np.concatenate([np.linspace(3.0, 2.0, r), np.linspace(1.0, 0.5, d - r)])
+    target = make_target(values, r, basis=random_orthogonal(np.random.default_rng(5), d))
+    manual = FactorState(0.5 * gaussian_factor(d, r, seed=2))
+    trace = run(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=25))
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = gd_step(manual, target, 0.05)
+        assert rec.iter == t and rec.error == approximation_error(manual, target)
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+
+
+def test_guard_stop_carries_the_guard_time_iterate():
+    # The guard trips on the third iterate; that iterate, not the one
+    # before it nor a buffer written afterwards, is the final state.
+    target = make_diagonal_target([3.0, 2.0, 1.0, 0.5, 0.2], 5, 2)
+    manual = FactorState(np.linspace(-2.0, 3.0, 10).reshape(5, 2))
+    with pytest.raises(DivergenceError) as excinfo:
+        run(manual, target, SolverConfig(eta=0.5, epsilon=1e-9, max_iters=100, record_every=50))
+    trace = excinfo.value.trace
+    assert trace.iterations == 3
+    for _ in range(3):
+        manual = gd_step(manual, target, 0.5)
+    assert np.linalg.norm(manual.x) >= DIVERGENCE_LIMIT
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
 
 
 def test_gram_diagnostics_match_svd_on_shipped_trajectories():
