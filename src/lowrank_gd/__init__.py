@@ -34,11 +34,9 @@ from .harness import (
 )
 from .initialization import (
     ConditionReport,
-    InitPlan,
     check_condition_1,
     gaussian_factor,
     gaussian_pair,
-    initial_factor,
     kappa,
     small_alpha_bound,
     warmup_budget,

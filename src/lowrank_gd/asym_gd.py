@@ -56,14 +56,6 @@ class AsymRecord:
     balance: float
 
 
-def _check_dims(state: AsymState, shape):
-    if tuple(shape) != (state.x.shape[0], state.y.shape[0]):
-        raise ValueError(
-            f"sigma of shape {tuple(shape)} does not match factors "
-            f"{state.x.shape[0]}x{state.y.shape[0]}"
-        )
-
-
 def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> AsymState:
     """One gradient step on the (optionally regularized) asymmetric objective.
 
@@ -74,7 +66,7 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
     Target or an array.
     """
     op = Sigma(sigma, svd=True)
-    _check_dims(state, op.shape)
+    op.check_shape(state.x.shape[0], state.y.shape[0])
     x, y = state.x, state.y
     out = np.empty_like(x), np.empty_like(y)
     scratch = np.empty_like(x), np.empty_like(y)
@@ -113,7 +105,7 @@ def lift(state: AsymState, sigma=None) -> LiftedState:
     lifted = None
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
-        _check_dims(state, sigma.shape)
+        Sigma(sigma).check_shape(d1)
         lifted = np.zeros((2 * d1, 2 * d1))
         lifted[:d1, :d1] = 2.0 * sigma
         lifted[d1:, d1:] = -2.0 * sigma
@@ -171,7 +163,7 @@ def _error_fn(op: Sigma, r: int):
 def asym_error(state: AsymState, sigma, r: int) -> float:
     """Frobenius error of X Y^T against the rank-r truncation of sigma."""
     op = Sigma(sigma, svd=True)
-    _check_dims(state, op.shape)
+    op.check_shape(state.x.shape[0], state.y.shape[0])
     return _error_fn(op, r)(state.x, state.y)
 
 
@@ -188,11 +180,11 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     the divergence guard.
     """
     op = Sigma(sigma, svd=True)
-    _check_dims(state0, op.shape)
+    op.check_shape(state0.x.shape[0], state0.y.shape[0])
     err_fn = _error_fn(op, state0.rank)
     eta, epsilon = config.eta, config.epsilon
-    # Each step writes into the pair the iterate before last occupied.
     xy0 = np.array(state0.x, order=op.factor_order), np.array(state0.y, order=op.factor_order)
+    # Spare buffers right after the iterate, as in ``sym_gd.run``.
     spare = tuple(map(np.empty_like, xy0))
     scratch = tuple(map(np.empty_like, xy0))
 
@@ -206,12 +198,8 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
         done = err <= epsilon and (not regularized or balance <= epsilon)
         return xy, norm, err, done, (grams, balance)
 
-    def step(xy, aux):
-        nonlocal spare
-        out, spare = spare, xy
-        return _step(op, *xy, *aux[0], eta, regularized, out, scratch)
-
     return iterate(
-        xy0, step, measure,
+        xy0, spare,
+        lambda xy, aux, out: _step(op, *xy, *aux[0], eta, regularized, out, scratch), measure,
         lambda t, xy, err, aux: AsymRecord(t, err, aux[1]), config, lambda xy: AsymState(*xy),
     )

@@ -58,13 +58,15 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
     """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
     Target or a symmetric array."""
     op = Sigma(sigma)
-    op.check_square(state.dim)
-    return EigState(_step(op, state.l, eta))
+    op.check_shape(state.dim)
+    l = state.l
+    return EigState(_step(op, l, eta, np.empty_like(l), np.empty_like(l)))
 
 
-def _step(op: Sigma, l: np.ndarray, eta: float) -> np.ndarray:
-    sl = op.apply(l)
-    return l + eta * (sl - l @ (l.T @ sl))
+def _step(op: Sigma, l: np.ndarray, eta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """l + eta * (Sigma l - l (l^T Sigma l)) written into ``out``."""
+    sl = op.apply(l, out=out)
+    return linalg.descent_update(sl, l, l.T @ sl, eta, scratch)
 
 
 def retract(l_tilde) -> np.ndarray:
@@ -76,9 +78,7 @@ def retract(l_tilde) -> np.ndarray:
 
 def rgd_step(state: EigState, sigma, eta: float) -> EigState:
     """Retract the frame, then apply the Riemannian gradient update."""
-    op = Sigma(sigma)
-    op.check_square(state.dim)
-    return EigState(_step(op, retract(state.l), eta))
+    return rf_step(EigState(retract(state.l)), sigma, eta)
 
 
 def proj_error(state: EigState, oracle: RankROracle) -> float:
@@ -142,12 +142,16 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if not target.is_psd:
         raise ValueError("eigenspace computation needs a PSD target")
-    if state0.dim != target.dim:
-        raise ValueError(f"frame is {state0.dim}-dimensional, target is {target.dim}")
     op = Sigma(target)
+    op.check_shape(state0.dim)
     err_fn = _proj_error_fn(target)
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon
+    # Row-major whatever ``op.factor_order``: on column-major frames the
+    # products round differently and the eig CSVs would change. The spare
+    # buffer comes right after the frame, as in ``sym_gd.run``.
+    l0 = np.array(state0.l, order="C")
+    spare, scratch = np.empty_like(l0), np.empty_like(l0)
 
     def measure(l):
         if retracted:
@@ -157,6 +161,6 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         return l, norm, err, err <= epsilon, None
 
     return iterate(
-        state0.l.copy(), lambda l, _: _step(op, l, eta), measure,
+        l0, spare, lambda l, _, out: _step(op, l, eta, out, scratch), measure,
         lambda t, l, err, _: EigRecord(t, err), config, EigState,
     )

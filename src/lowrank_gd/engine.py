@@ -74,11 +74,14 @@ class Trace:
         return self.records[-1].balance
 
 
-def iterate(x, step, measure, record, config: SolverConfig, wrap) -> Trace:
-    """Run ``x <- step(x, aux)`` until the stopping rule holds, the budget
-    ``config.max_iters`` runs out, or the iterate diverges.
+def iterate(x, spare, step, measure, record, config: SolverConfig, wrap) -> Trace:
+    """Run ``x <- step(x, aux, spare)`` until the stopping rule holds, the
+    budget ``config.max_iters`` runs out, or the iterate diverges.
 
-    Each pass calls ``measure(x)``, which returns ``(x, norm, error, done,
+    ``step`` writes the next iterate into ``spare`` (shaped like ``x``,
+    never aliasing it) and returns it; the previous iterate becomes the
+    next ``spare``, so a run steps in two buffers that trade places. Each
+    pass calls ``measure(x)``, which returns ``(x, norm, error, done,
     aux)``: the iterate to record and step from (the retracted eigenspace
     method retracts here), the norm the divergence guard checks, the
     error, whether the stopping rule holds, and whatever ``step`` and
@@ -101,7 +104,7 @@ def iterate(x, step, measure, record, config: SolverConfig, wrap) -> Trace:
             records.append(record(t, x, err, aux))
         if terminal:
             break
-        x = step(x, aux)
+        x, spare = step(x, aux, spare), x
         t += 1
     wall = time.perf_counter() - start
     trace = Trace(records, done and not diverged, t, err, wall, wrap(x))

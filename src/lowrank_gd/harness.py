@@ -125,6 +125,9 @@ def _resolve_spectrum(spec, dim: int, rank: int) -> np.ndarray:
         return np.concatenate([np.full(rank, float(value)), np.ones(dim - rank)])
     if not isinstance(value, list) or not value:
         raise ConfigError("invalid value for 'spectrum.explicit': expected a non-empty list")
+    bad = [v for v in value if not isinstance(v, (int, float)) or isinstance(v, bool)]
+    if bad:
+        raise ConfigError(f"invalid value for 'spectrum.explicit': expected numbers, got {bad[0]!r}")
     return np.asarray(value, dtype=np.float64)
 
 
@@ -168,6 +171,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(a, (int, float)) or isinstance(a, bool) or a <= 0:
             raise ConfigError(f"invalid value for 'init.alpha': must be positive numbers, got {a!r}")
         parsed_alphas.append(float(a))
+    names = [f"a{a:g}" for a in parsed_alphas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"invalid value for 'init.alpha': {parsed_alphas[names.index(name)]!r} and "
+                              f"{parsed_alphas[i]!r} share the variant name {name!r}")
     seed = init.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"invalid value for 'init.seed': expected a nonnegative integer, got {seed!r}")
@@ -336,14 +344,12 @@ def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> RunResult:
     )
 
 
-def _run_bench(config: ExperimentConfig, target, seed_base: int, out_dir: Path):
-    """Timed comparison of the two eigenspace methods, strictly sequential
-    and interleaved (rf, rgd, rf, rgd, ...) across repeats."""
-    jobs = _build_jobs(config, target, seed_base)
-    runs = [_execute(config, target, job, out_dir) for job in jobs]
+def _run_bench(config: ExperimentConfig, runs) -> dict:
+    """Summary of the timed comparison of the two eigenspace methods, from
+    the runs of the bench jobs (interleaved rf, rgd, rf, ... by repeat)."""
     methods_summary = {}
     for method in config.methods:
-        mine = [run for run, job in zip(runs, jobs) if job[3]["method"] == method]
+        mine = [run for run in runs if run.variant == _SHORT[method]]
         times = np.array([run.wall_time_s for run in mine])
         methods_summary[method] = {
             "runs": len(mine),
@@ -357,8 +363,7 @@ def _run_bench(config: ExperimentConfig, target, seed_base: int, out_dir: Path):
         rf_total = methods_summary["retraction_free"]["total_wall_time_s"]
         if rgd_total > 0:
             saving = (rgd_total - rf_total) / rgd_total
-    bench = {"methods": methods_summary, "saving_fraction": saving}
-    return runs, bench
+    return {"methods": methods_summary, "saving_fraction": saving}
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -> ExperimentResult:
@@ -380,11 +385,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
     seed_base = config.seed if seed_override is None else int(seed_override)
     target = spectrum.make_diagonal_target(config.values, config.dim, config.rank)
 
-    if config.kind == "bench":
-        runs, bench = _run_bench(config, target, seed_base, out)
-    else:
-        bench = None
-        runs = [_execute(config, target, job, out) for job in _build_jobs(config, target, seed_base)]
+    runs = [_execute(config, target, job, out) for job in _build_jobs(config, target, seed_base)]
     csv_paths = [res.csv_path for res in runs]
     diverged_any = any(res.diverged for res in runs)
 
@@ -402,8 +403,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
         "any_diverged": diverged_any,
         "config": config.raw,
     }
-    if bench is not None:
-        summary["bench"] = bench
+    if config.kind == "bench":
+        summary["bench"] = _run_bench(config, runs)
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     return ExperimentResult(

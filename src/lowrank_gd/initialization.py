@@ -6,42 +6,13 @@ under which the warm-up phase admits a closed-form iteration budget.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectrum import Target
-from .sym_gd import FactorState, split_blocks
+from .sym_gd import FactorState, block_values, eigen_blocks
 from . import linalg
-
-SCHEMES = ("small", "moderate", "explicit")
-
-
-@dataclass
-class InitPlan:
-    """How to build the initial iterate.
-
-    * ``moderate``: X0 = alpha * N0 with the given alpha.
-    * ``small``: alpha is derived from the decay-exponent bound
-      (``small_alpha_bound``) scaled by ``multiplier``.
-    * ``explicit``: use ``matrix`` as given.
-    """
-
-    scheme: str = "moderate"
-    alpha: float = 0.5
-    seed: int = 0
-    multiplier: float = 1.0
-    matrix: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown init scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.multiplier <= 0:
-            raise ValueError(f"multiplier must be positive, got {self.multiplier}")
-        if self.scheme == "explicit" and self.matrix is None:
-            raise ValueError("explicit scheme requires a matrix")
 
 
 def gaussian_factor(d: int, r: int, seed: int) -> np.ndarray:
@@ -111,12 +82,13 @@ class ConditionReport:
 
 def check_condition_1(state0: FactorState, target: Target, eta: float) -> ConditionReport:
     """Deterministic initialization condition guaranteeing entry into the
-    absorbing region within the warm-up budget."""
-    u0, j0 = split_blocks(state0)
-    s1x2 = float(linalg.singular_values(state0.x)[0]) ** 2
-    s1j2 = float(linalg.singular_values(j0)[0]) ** 2
-    sru = float(linalg.singular_values(u0)[-1])
-    sru2 = sru * sru
+    absorbing region within the warm-up budget. The iterate is read in the
+    target's eigenbasis coordinates (``sym_gd.eigen_blocks``), so a rotated
+    target gives the verdict and margins of its diagonal copy; sigma_1(X)
+    and sigma_1(J) come from the r x r Gram blocks."""
+    u0, _, gram_u, gram_j = eigen_blocks(state0, target)
+    s1x, s1j, sru, _ = block_values(u0, gram_u, gram_j)
+    s1x2, s1j2, sru2 = s1x * s1x, s1j * s1j, sru * sru
     lam1, lam_r, gap = target.lambda_top, target.lambda_r, target.gap
     k = kappa(target, eta)
     c1 = gap ** (1.0 - k / 2.0) / (2.0 ** (3.0 - k) * math.sqrt(lam1))
@@ -143,30 +115,13 @@ def check_condition_1(state0: FactorState, target: Target, eta: float) -> Condit
 
 
 def warmup_budget(state0: FactorState, target: Target, eta: float) -> int:
-    """Iterations needed for the signal block to clear gap/4, with the
-    printed constant; zero when it already does."""
-    u0, _ = split_blocks(state0)
-    sru2 = float(linalg.singular_values(u0)[-1]) ** 2
+    """Iterations needed for the signal block U (the top r rows in the
+    target's eigenbasis coordinates) to clear gap/4, with the printed
+    constant; zero when it already does."""
+    sru2 = float(linalg.singular_values(eigen_blocks(state0, target)[0])[-1]) ** 2
     gap = target.gap
     if sru2 >= gap / 4.0:
         return 0
     if sru2 <= 0:
         raise ValueError("warm-up budget needs a nonsingular signal block")
     return math.ceil((2.0 / (eta * gap)) * math.log(gap / (4.0 * sru2)))
-
-
-def initial_factor(plan: InitPlan, d: int, r: int, target: Target | None = None,
-                   eta: float | None = None) -> np.ndarray:
-    """Materialize the initial iterate described by the plan."""
-    if plan.scheme == "explicit":
-        m = linalg.as_matrix(plan.matrix, "explicit init")
-        if m.shape != (d, r):
-            raise ValueError(f"explicit init must be {d}x{r}, got {m.shape}")
-        return m.copy()
-    if plan.scheme == "small":
-        if target is None or eta is None:
-            raise ValueError("small scheme derives alpha from the target and eta")
-        alpha = small_alpha_bound(target, eta, plan.multiplier)
-    else:
-        alpha = plan.alpha
-    return alpha * gaussian_factor(d, r, plan.seed)

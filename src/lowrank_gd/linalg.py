@@ -58,9 +58,10 @@ def descent_update(acc: np.ndarray, x: np.ndarray, gram: np.ndarray, eta: float,
                    scratch: np.ndarray) -> np.ndarray:
     """Overwrite ``acc`` (holding Sigma x) with x + eta * (acc - x @ gram),
     in that operation order, and return it. ``scratch``, shaped like x,
-    receives x @ gram; neither buffer may alias x. The factored updates of
-    both GD solvers are this kernel, so a run that reuses its buffers
-    computes the same bits as one that allocates every step."""
+    receives x @ gram; neither buffer may alias x. The updates of all
+    three solvers are this kernel (the eigenspace step with acc = Sigma L
+    and gram = L^T Sigma L), so a run that reuses its buffers computes the
+    same bits as one that allocates every step."""
     np.matmul(x, gram, out=scratch)
     np.subtract(acc, scratch, out=acc)
     np.multiply(eta, acc, out=acc)

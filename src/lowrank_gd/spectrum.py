@@ -152,10 +152,11 @@ class Sigma:
             raise ValueError("the eigenbasis of a dense array operator is unknown")
         return x
 
-    def check_square(self, rows: int):
-        """Raise ValueError unless Sigma is ``rows`` x ``rows``."""
-        if self.shape != (rows, rows):
-            raise ValueError(f"sigma of shape {self.shape} does not match an iterate with {rows} rows")
+    def check_shape(self, rows: int, cols: int | None = None):
+        """Raise ValueError unless Sigma is ``rows`` x ``cols`` (``cols`` defaults to ``rows``)."""
+        want = (rows, rows if cols is None else cols)
+        if tuple(self.shape) != want:
+            raise ValueError(f"sigma of shape {tuple(self.shape)} does not match factors {want[0]}x{want[1]}")
 
 
 @dataclass

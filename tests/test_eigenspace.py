@@ -18,6 +18,7 @@ from lowrank_gd import (
     rgd_step,
     run_eig,
 )
+from lowrank_gd.eigenspace import _proj_error_fn
 
 TOY = make_diagonal_target([2.0, 1.0], 2, 1)
 
@@ -177,6 +178,39 @@ def test_run_eig_equal_top_setting(rng):
     for method in ("retraction_free", "rgd"):
         trace = run_eig(EigState(gaussian_factor(40, 3, seed=9)), target, cfg, method=method)
         assert trace.converged
+
+
+STEPS = {"retraction_free": rf_step, "rgd": rgd_step}
+
+
+@pytest.mark.parametrize("method", ["retraction_free", "rgd"])
+def test_run_matches_repeated_steps(method):
+    # The run steps in two reused buffers through the shared update kernel;
+    # every recorded error and the final frame match fresh rf_step/rgd_step
+    # calls bit for bit (rgd records and returns the retracted frame).
+    target = make_diagonal_target(np.concatenate([np.linspace(7.0, 2.0, 5), np.ones(45)]), 50, 5)
+    err_fn = _proj_error_fn(target)
+    manual = EigState(gaussian_factor(50, 5, seed=2))
+    trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=60), method=method)
+    assert trace.iterations == 60
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = STEPS[method](manual, target, 0.05)
+        frame = retract(manual.l) if method == "rgd" else manual.l
+        assert rec.iter == t and rec.proj_error == err_fn(frame)
+    np.testing.assert_array_equal(trace.final_state.l, frame)
+
+
+@pytest.mark.parametrize("method", ["retraction_free", "rgd"])
+@pytest.mark.parametrize("iters", [1, 2, 5])
+def test_run_eig_leaves_state0_untouched(method, iters):
+    target = make_diagonal_target([3.0, 2.0, 1.0, 0.5, 0.2], 5, 2)
+    state = EigState(np.linspace(-0.4, 0.5, 10).reshape(5, 2))
+    before = state.l.copy()
+    trace = run_eig(state, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=iters), method=method)
+    assert trace.iterations == iters
+    np.testing.assert_array_equal(state.l, before)
+    assert not np.shares_memory(trace.final_state.l, state.l)
 
 
 def test_run_eig_reports_wall_time():

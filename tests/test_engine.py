@@ -21,13 +21,34 @@ def test_nan_norm_trips_the_divergence_guard():
         norm = float(np.linalg.norm(x))
         return x, norm, norm, False, None
 
-    def step(x, _):
-        return x + 1.0 if x[0] < 3.0 else np.full_like(x, np.nan)
+    def step(x, _, out):
+        return np.add(x, 1.0, out=out) if x[0] < 3.0 else np.full_like(x, np.nan)
 
     config = SolverConfig(eta=0.1, epsilon=1e-6, max_iters=100)
     with pytest.raises(DivergenceError) as excinfo:
-        iterate(np.zeros(2), step, measure, lambda t, x, err, _: Rec(t, err), config, np.copy)
+        iterate(np.zeros(2), np.empty(2), step, measure, lambda t, x, err, _: Rec(t, err), config, np.copy)
     trace = excinfo.value.trace
     assert not trace.converged and trace.iterations == 4
     assert [rec.iter for rec in trace.records] == [0, 1, 2, 3, 4]
     assert math.isnan(trace.final_error) and np.isnan(trace.final_state).all()
+
+
+def test_iterate_steps_in_two_buffers_that_trade_places():
+    # Each step writes into the buffer the iterate before last occupied;
+    # the caller's spare is the first target.
+    x0, spare = np.zeros(2), np.empty(2)
+    outs = []
+
+    def step(x, _, out):
+        assert out is not x
+        outs.append(out)
+        return np.add(x, 1.0, out=out)
+
+    def measure(x):
+        return x, 0.0, 0.0, False, None
+
+    trace = iterate(x0, spare, step, measure, lambda t, x, err, _: Rec(t, err),
+                    SolverConfig(eta=0.1, epsilon=1e-6, max_iters=5), np.copy)
+    assert [out is spare for out in outs] == [True, False, True, False, True]
+    assert all(out is x0 for out in outs[1::2])
+    assert trace.final_state.tolist() == [5.0, 5.0] and spare.tolist() == [5.0, 5.0]

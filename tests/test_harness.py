@@ -74,6 +74,16 @@ def test_invalid_value_is_named():
         parse_config(dict(MINIMAL_SYM, init={"alpha": 0.5, "seed": -3}))
 
 
+def test_colliding_alpha_variant_names_are_rejected():
+    # 0.5 and 0.5000001 both format as "a0.5": their runs would write the
+    # same CSV and the second would overwrite the first.
+    with pytest.raises(ConfigError, match=r"'init.alpha': 0.5 and 0.5000001 share the variant name 'a0.5'"):
+        parse_config(dict(MINIMAL_SYM, init={"alpha": [0.5, 0.001, 0.5000001], "seed": 1}))
+    with pytest.raises(ConfigError, match="'a0.001'"):
+        parse_config(dict(MINIMAL_SYM, kind="asym", init={"alpha": [0.001, 0.001]}))
+    assert parse_config(dict(MINIMAL_SYM, init={"alpha": [0.5, 0.50001]})).alphas == [0.5, 0.50001]
+
+
 def test_parse_error_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -337,6 +347,11 @@ def test_cli_rejects_indefinite_spectrum(tmp_path, kind):
     payload = dict(MINIMAL_SYM, kind=kind, dim=4, rank=2, spectrum={"explicit": [3, 2, 1, -1]})
     command = "bench" if kind == "bench" else "run"
     _assert_config_error(_cli_subprocess(tmp_path, payload, command), "'spectrum'")
+
+
+def test_cli_rejects_non_numeric_explicit_spectrum(tmp_path):
+    payload = dict(MINIMAL_SYM, spectrum={"explicit": ["a", "b"]})
+    _assert_config_error(_cli_subprocess(tmp_path, payload), "'spectrum.explicit'")
 
 
 NEGATIVE_ASYM = dict(MINIMAL_SYM, kind="asym", dim=4, rank=2, eta=0.05,

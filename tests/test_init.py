@@ -1,22 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lowrank_gd import (
     FactorState,
-    InitPlan,
     check_condition_1,
     gaussian_factor,
     gaussian_pair,
     in_region_r2,
-    initial_factor,
     kappa,
     make_diagonal_target,
     small_alpha_bound,
     warmup_budget,
 )
-from lowrank_gd import experiment_spectrum
+from lowrank_gd import experiment_spectrum, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TOY = make_diagonal_target([2.0, 1.0], 2, 1)
 
@@ -151,6 +152,39 @@ def test_condition_1_implies_region_r2(rng):
             assert in_region_r2(state, target, 0.0)
 
 
+def svd_condition_margins(x, target, eta):
+    """The four clause margins with sigma_1(X), sigma_1(J) and sigma_r(U)
+    taken from SVDs of the raw d x r blocks (valid for a diagonal target)."""
+    r = target.rank
+    s1x2 = np.linalg.svd(x, compute_uv=False)[0] ** 2
+    s1j2 = np.linalg.svd(x[r:], compute_uv=False)[0] ** 2
+    sru = np.linalg.svd(x[:r], compute_uv=False)[-1]
+    lam1, lam_r, gap = target.lambda_top, target.lambda_r, target.gap
+    k = kappa(target, eta)
+    c1 = gap ** (1.0 - k / 2.0) / (2.0 ** (3.0 - k) * math.sqrt(lam1))
+    return [lam1 - s1x2, lam_r - gap / 2.0 - s1j2, min(sru**2, gap / 4.0 - sru**2),
+            c1 * sru ** (1.0 + k) - s1j2]
+
+
+def test_condition_1_gram_margins_match_svd_formula(rng):
+    # sigma_1(X) and sigma_1(J) come from the r x r Gram blocks; on diagonal
+    # targets every margin matches the SVD formula to 1e-12 relative.
+    cases = []
+    while len(cases) < 40:
+        vals = np.sort(rng.uniform(0.2, 3.0, 7))[::-1]
+        if vals[1] - vals[2] >= 0.1:
+            alpha = 10.0 ** rng.uniform(-6, -1)
+            cases.append((make_diagonal_target(vals, 7, 2), alpha * gaussian_factor(7, 2, int(rng.integers(2**32))), 0.01))
+    cfg = load_config(ROOT / "configs" / "sym_magnitudes.json")
+    shipped = make_diagonal_target(cfg.values, cfg.dim, cfg.rank)
+    cases += [(shipped, a * gaussian_factor(cfg.dim, cfg.rank, cfg.seed), cfg.eta) for a in cfg.alphas]
+    for target, x, eta in cases:
+        report = check_condition_1(FactorState(x), target, eta)
+        want = svd_condition_margins(x, target, eta)
+        for clause, margin in zip(report.clauses, want):
+            assert clause.margin == pytest.approx(margin, rel=1e-12, abs=0.0), clause.name
+
+
 # --- warm-up budget ----------------------------------------------------------
 
 def test_warmup_budget_zero_inside_region():
@@ -168,33 +202,3 @@ def test_warmup_budget_half_region():
     state = FactorState(col(s, 0.0))
     expected = math.ceil((2.0 / (0.05 * TOY.gap)) * math.log(2.0))
     assert warmup_budget(state, TOY, 0.05) == expected
-
-
-# --- plans -------------------------------------------------------------------
-
-def test_initial_factor_moderate():
-    plan = InitPlan(scheme="moderate", alpha=0.5, seed=3)
-    x0 = initial_factor(plan, 8, 2)
-    np.testing.assert_allclose(x0, 0.5 * gaussian_factor(8, 2, 3))
-
-
-def test_initial_factor_small_uses_bound():
-    plan = InitPlan(scheme="small", alpha=1.0, seed=3, multiplier=2.0)
-    x0 = initial_factor(plan, 8, 2, target=TOY, eta=0.05)
-    expected_alpha = small_alpha_bound(TOY, 0.05, 2.0)
-    np.testing.assert_allclose(x0, expected_alpha * gaussian_factor(8, 2, 3))
-
-
-def test_initial_factor_explicit():
-    m = np.ones((4, 1))
-    plan = InitPlan(scheme="explicit", alpha=1.0, seed=0, matrix=m)
-    np.testing.assert_array_equal(initial_factor(plan, 4, 1), m)
-    with pytest.raises(ValueError):
-        InitPlan(scheme="explicit", alpha=1.0, seed=0)
-
-
-def test_init_plan_validation():
-    with pytest.raises(ValueError):
-        InitPlan(scheme="moderate", alpha=-1.0)
-    with pytest.raises(ValueError):
-        InitPlan(scheme="bogus")

@@ -13,6 +13,7 @@ from lowrank_gd import (
     SolverConfig,
     approximation_error,
     best_rank_r,
+    check_condition_1,
     gaussian_factor,
     gd_step,
     in_region_r,
@@ -25,6 +26,7 @@ from lowrank_gd import (
     run,
     signal_residual,
     split_blocks,
+    warmup_budget,
 )
 from lowrank_gd import experiment_spectrum, load_config
 from lowrank_gd.engine import DIVERGENCE_LIMIT
@@ -322,6 +324,17 @@ def test_rotated_target_records_match_diagonal(seed):
     assert final.in_r and final.in_r2
     assert (rotated.records[-1].in_r, rotated.records[-1].in_r2) == (final.in_r, final.in_r2)
     assert in_region_r(rotated.final_state, rotated_target)
+    assert signal_residual(rotated.final_state, rotated_target) == pytest.approx(final.sigma1_p, rel=1e-8, abs=1e-10)
+    # The entry condition and the warm-up budget of a small start, too.
+    small = 1e-3 * gaussian_factor(d, r, seed=1)
+    diag_target = make_diagonal_target(values, d, r)
+    want = check_condition_1(FactorState(small), diag_target, cfg.eta)
+    got = check_condition_1(FactorState(basis @ small), rotated_target, cfg.eta)
+    assert [c.holds for c in got.clauses] == [c.holds for c in want.clauses] and got.holds == want.holds
+    for g, w in zip(got.clauses, want.clauses):
+        assert g.margin == pytest.approx(w.margin, rel=1e-8, abs=1e-10), w.name
+    assert warmup_budget(FactorState(basis @ small), rotated_target, cfg.eta) == 861
+    assert warmup_budget(FactorState(small), diag_target, cfg.eta) == 861
 
 
 def test_run_rejects_indefinite_target():
