@@ -35,14 +35,14 @@ ratio_factor = 1.0 - eta * target.gap / 3.0
 envelope_scale = 100.0 * target.lambda_top**2 / (eta * target.gap**2)
 envelope_decay = 1.0 - eta * target.gap / 4.0
 
-ratio_prev = lg.noise_signal_ratio(state)
+ratio_prev = lg.noise_signal_ratio(state, target)
 ratio_ok = envelope_ok = region_ok = True
 t = 0
 while lg.approximation_error(state, target) > epsilon:
     state = lg.gd_step(state, target, eta)
     t += 1
     region_ok &= lg.in_region_r(state, target, 1e-8)
-    ratio = lg.noise_signal_ratio(state)
+    ratio = lg.noise_signal_ratio(state, target)
     ratio_ok &= ratio <= ratio_factor * ratio_prev + 1e-12
     ratio_prev = ratio
     envelope_ok &= lg.signal_residual(state, target) <= envelope_scale * envelope_decay**t + 1e-8

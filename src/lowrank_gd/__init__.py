@@ -70,7 +70,6 @@ from .sym_gd import (
     noise_signal_ratio,
     run,
     signal_residual,
-    split_blocks,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

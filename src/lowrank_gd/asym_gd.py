@@ -63,30 +63,33 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
         X' = X + eta (Sigma - X Y^T) Y - (eta/2) X (X^T X - Y^T Y)
         Y' = Y + eta (Sigma - X Y^T)^T X + (eta/2) Y (X^T X - Y^T Y)
     The unregularized variant drops the (eta/2) terms. ``sigma`` is a
-    Target or an array.
+    Target or an array. The Grams are formed as in ``run_asym``, so a run
+    equals repeated steps bit for bit.
     """
     op = Sigma(sigma, svd=True)
     op.check_shape(state.x.shape[0], state.y.shape[0])
     x, y = state.x, state.y
+    grams = _grams(op, state.rank, x, y)
     out = np.empty_like(x), np.empty_like(y)
     scratch = np.empty_like(x), np.empty_like(y)
-    return AsymState(*_step(op, x, y, x.T @ x, y.T @ y, eta, regularized, out, scratch))
+    ascents = op.ascent(eta), op.ascent(eta, transpose=True)
+    return AsymState(*_step(ascents, x, y, *grams, eta, regularized, out, scratch))
 
 
-def _step(op: Sigma, x, y, gram_x, gram_y, eta: float, regularized: bool, out, scratch):
+def _step(ascents, x, y, gram_x, gram_y, eta: float, regularized: bool, out, scratch):
     """The update of ``asym_step`` written into the pair ``out``, with the
-    products held in the pair ``scratch``."""
-    x_next, y_next = out
-    sx, sy = scratch
-    linalg.descent_update(op.apply(y, out=x_next), x, gram_y, eta, sx)
-    linalg.descent_update(op.apply_t(x, out=y_next), y, gram_x, eta, sy)
+    products held in the pair ``scratch``; ``ascents`` holds the run's
+    ``Sigma.ascent(eta)`` and its transpose. The balancing term is r x r, so
+    it folds into each factor's multiplier:
+    M_x = eta G_y + (eta/2)(G_x - G_y) and M_y = eta G_x - (eta/2)(G_x - G_y)."""
+    m_x, m_y = eta * gram_y, eta * gram_x
     if regularized:
-        imbalance = gram_x - gram_y
-        half = 0.5 * eta
-        np.multiply(half, np.matmul(x, imbalance, out=sx), out=sx)
-        np.subtract(x_next, sx, out=x_next)
-        np.multiply(half, np.matmul(y, imbalance, out=sy), out=sy)
-        np.add(y_next, sy, out=y_next)
+        half = (0.5 * eta) * (gram_x - gram_y)
+        m_x += half
+        m_y -= half
+    (ascent, ascent_t), (x_next, y_next), (sx, sy) = ascents, out, scratch
+    linalg.descent_update(ascent(y, x, x_next), x, m_x, sx)
+    linalg.descent_update(ascent_t(x, y, y_next), y, m_y, sy)
     return out
 
 
@@ -128,34 +131,51 @@ def balance_gap(state: AsymState) -> float:
     return float(np.linalg.norm(state.x.T @ state.x - state.y.T @ state.y, "fro"))
 
 
+def _block_grams(v: np.ndarray, r: int):
+    """U^T U and J^T J of the top r rows U of ``v`` and the rest J."""
+    u, j = v[:r], v[r:]
+    return u.T @ u, j.T @ j
+
+
+def _grams(op: Sigma, r: int, x: np.ndarray, y: np.ndarray):
+    """(X^T X, Y^T Y) as the error closure returns them: summed from the
+    row blocks for a diagonal Sigma, whose error reads those blocks, and
+    formed directly for a dense one."""
+    if op.diag is None:
+        return x.T @ x, y.T @ y
+    (gux, gjx), (guy, gjy) = _block_grams(x, r), _block_grams(y, r)
+    return gux + gjx, guy + gjy
+
+
 def _error_fn(op: Sigma, r: int):
     """Closure for ||Sigma_r - X Y^T||_F with Sigma_r the rank-r SVD
-    truncation. A diagonal operator (its own SVD) uses a block identity
-    that avoids forming d1 x d2 matrices per call."""
+    truncation. It returns the error and the Grams ``(X^T X, Y^T Y)`` for
+    the step and the balance. A diagonal operator (its own SVD) uses a
+    block identity that avoids forming d1 x d2 matrices per call, and sums
+    each Gram from the blocks it forms (see ``_grams``)."""
     if r < 1 or r > min(op.shape):
         raise ValueError(f"rank {r} out of range for sigma of shape {op.shape}")
     if op.diag is not None:
         s_r = np.diag(op.diag[:r])
 
-        def err(x: np.ndarray, y: np.ndarray) -> float:
-            ux, jx = x[:r], x[r:]
-            uy, jy = y[:r], y[r:]
-            top = s_r - ux @ uy.T
+        def err(x: np.ndarray, y: np.ndarray):
+            (gux, gjx), (guy, gjy) = _block_grams(x, r), _block_grams(y, r)
+            top = s_r - x[:r] @ y[:r].T
             sq = (
                 float(np.sum(top * top))
-                + float(np.sum((ux.T @ ux) * (jy.T @ jy)))
-                + float(np.sum((jx.T @ jx) * (uy.T @ uy)))
-                + float(np.sum((jx.T @ jx) * (jy.T @ jy)))
+                + float(np.sum(gux * gjy))
+                + float(np.sum(gjx * guy))
+                + float(np.sum(gjx * gjy))
             )
-            return math.sqrt(max(sq, 0.0))
+            return math.sqrt(max(sq, 0.0)), (gux + gjx, guy + gjy)
 
         return err
 
     left, svals, right = linalg.svd(op.matrix)
     sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
 
-    def err(x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(sigma_r - x @ y.T, "fro"))
+    def err(x: np.ndarray, y: np.ndarray):
+        return float(np.linalg.norm(sigma_r - x @ y.T, "fro")), _grams(op, r, x, y)
 
     return err
 
@@ -164,7 +184,7 @@ def asym_error(state: AsymState, sigma, r: int) -> float:
     """Frobenius error of X Y^T against the rank-r truncation of sigma."""
     op = Sigma(sigma, svd=True)
     op.check_shape(state.x.shape[0], state.y.shape[0])
-    return _error_fn(op, r)(state.x, state.y)
+    return _error_fn(op, r)(state.x, state.y)[0]
 
 
 def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trace:
@@ -183,6 +203,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     op.check_shape(state0.x.shape[0], state0.y.shape[0])
     err_fn = _error_fn(op, state0.rank)
     eta, epsilon = config.eta, config.epsilon
+    ascents = op.ascent(eta), op.ascent(eta, transpose=True)
     xy0 = np.array(state0.x, order=op.factor_order), np.array(state0.y, order=op.factor_order)
     # Spare buffers right after the iterate, as in ``sym_gd.run``.
     spare = tuple(map(np.empty_like, xy0))
@@ -190,8 +211,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
 
     def measure(xy):
         x, y = xy
-        err = err_fn(x, y)
-        grams = x.T @ x, y.T @ y
+        err, grams = err_fn(x, y)
         # np.maximum, unlike max, carries a NaN in either trace to the guard.
         norm = math.sqrt(np.maximum(np.trace(grams[0]), np.trace(grams[1])))
         balance = float(np.linalg.norm(grams[0] - grams[1], "fro"))
@@ -200,6 +220,6 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
 
     return iterate(
         xy0, spare,
-        lambda xy, aux, out: _step(op, *xy, *aux[0], eta, regularized, out, scratch), measure,
+        lambda xy, aux, out: _step(ascents, *xy, *aux[0], eta, regularized, out, scratch), measure,
         lambda t, xy, err, aux: AsymRecord(t, err, aux[1]), config, lambda xy: AsymState(*xy),
     )

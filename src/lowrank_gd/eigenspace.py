@@ -64,9 +64,13 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
 
 
 def _step(op: Sigma, l: np.ndarray, eta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """l + eta * (Sigma l - l (l^T Sigma l)) written into ``out``."""
+    """(l + eta Sigma l) - l (eta l^T Sigma l) written into ``out``: Sigma is
+    applied once, and its product both forms the Gram and builds the base."""
     sl = op.apply(l, out=out)
-    return linalg.descent_update(sl, l, l.T @ sl, eta, scratch)
+    gram = l.T @ sl
+    # Sigma.ascent's dense branch, inlined because the Gram needs Sigma l.
+    base = np.add(l, np.multiply(eta, sl, out=sl), out=sl)
+    return linalg.descent_update(base, l, eta * gram, scratch)
 
 
 def retract(l_tilde) -> np.ndarray:

@@ -12,7 +12,6 @@ import numpy as np
 
 from .spectrum import Target
 from .sym_gd import FactorState, block_values, eigen_blocks
-from . import linalg
 
 
 def gaussian_factor(d: int, r: int, seed: int) -> np.ndarray:
@@ -86,8 +85,7 @@ def check_condition_1(state0: FactorState, target: Target, eta: float) -> Condit
     target's eigenbasis coordinates (``sym_gd.eigen_blocks``), so a rotated
     target gives the verdict and margins of its diagonal copy; sigma_1(X)
     and sigma_1(J) come from the r x r Gram blocks."""
-    u0, _, gram_u, gram_j = eigen_blocks(state0, target)
-    s1x, s1j, sru, _ = block_values(u0, gram_u, gram_j)
+    s1x, s1j, sru = block_values(eigen_blocks(state0, target))[:3]
     s1x2, s1j2, sru2 = s1x * s1x, s1j * s1j, sru * sru
     lam1, lam_r, gap = target.lambda_top, target.lambda_r, target.gap
     k = kappa(target, eta)
@@ -118,7 +116,7 @@ def warmup_budget(state0: FactorState, target: Target, eta: float) -> int:
     """Iterations needed for the signal block U (the top r rows in the
     target's eigenbasis coordinates) to clear gap/4, with the printed
     constant; zero when it already does."""
-    sru2 = float(linalg.singular_values(eigen_blocks(state0, target)[0])[-1]) ** 2
+    sru2 = block_values(eigen_blocks(state0, target))[2] ** 2
     gap = target.gap
     if sru2 >= gap / 4.0:
         return 0

@@ -45,27 +45,34 @@ def frobenius_norm(m) -> float:
 def singular_values(m) -> np.ndarray:
     """Singular values of ``m`` in descending order.
 
-    Raises NumericalError if the underlying iteration does not converge.
+    ``m`` is a matrix, or a 3-D stack of equally shaped matrices; a stack
+    gets one row of values per matrix, the same bits as separate calls,
+    from one batched LAPACK call. Raises ValueError on any other number of
+    dimensions, an empty matrix or a non-finite entry, and NumericalError
+    if the underlying iteration does not converge.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"singular values need a matrix or a stack of matrices, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ValueError("singular values need at least one row and one column")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalError(f"singular value iteration did not converge: {exc}") from exc
 
 
-def descent_update(acc: np.ndarray, x: np.ndarray, gram: np.ndarray, eta: float,
-                   scratch: np.ndarray) -> np.ndarray:
-    """Overwrite ``acc`` (holding Sigma x) with x + eta * (acc - x @ gram),
-    in that operation order, and return it. ``scratch``, shaped like x,
-    receives x @ gram; neither buffer may alias x. The updates of all
-    three solvers are this kernel (the eigenspace step with acc = Sigma L
-    and gram = L^T Sigma L), so a run that reuses its buffers computes the
-    same bits as one that allocates every step."""
-    np.matmul(x, gram, out=scratch)
-    np.subtract(acc, scratch, out=acc)
-    np.multiply(eta, acc, out=acc)
-    return np.add(x, acc, out=acc)
+def descent_update(base: np.ndarray, x: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite ``base`` with base - x @ m and return it. ``scratch``,
+    shaped like x, receives x @ m; neither buffer may alias x. The updates
+    of all three solvers are this kernel, with ``base`` = x + eta Sigma v
+    and the r x r ``m`` folding in the step size, the Gram and (for the
+    two factors) the balancing term, so a run that reuses its buffers
+    computes the same bits as one that allocates every step."""
+    np.matmul(x, m, out=scratch)
+    return np.subtract(base, scratch, out=base)
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:

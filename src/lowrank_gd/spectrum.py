@@ -143,6 +143,31 @@ class Sigma:
             return np.multiply(self.diag[:, None], v, out=out)
         return np.matmul(self.matrix.T, v, out=out)
 
+    def shifted(self, eta: float):
+        """The map ``(v, out) -> v + eta * Sigma v`` into ``out``: the base of
+        the symmetric step. A diagonal Sigma forms the column 1 + eta * diag
+        here, once per run, so the map is one multiply."""
+        if self.diag is not None:
+            col = (1.0 + eta * self.diag)[:, None]
+            return lambda v, out: np.multiply(col, v, out=out)
+        ascent = self.ascent(eta)
+        return lambda v, out: ascent(v, v, out)
+
+    def ascent(self, eta: float, transpose: bool = False):
+        """The map ``(v, base, out) -> base + eta * Sigma v`` (``Sigma^T v``
+        with ``transpose``) into ``out``: the base of the two-factor step. A
+        diagonal Sigma forms the column eta * diag here, once per run."""
+        if self.diag is not None:
+            col = (eta * self.diag)[:, None]
+            return lambda v, base, out: np.add(base, np.multiply(col, v, out=out), out=out)
+        apply = self.apply_t if transpose else self.apply
+
+        def step(v, base, out):
+            np.multiply(eta, apply(v, out=out), out=out)
+            return np.add(base, out, out=out)
+
+        return step
+
     def to_eigen(self, x: np.ndarray) -> np.ndarray:
         """x in eigenbasis coordinates: basis^T @ x for a rotated Target,
         x itself when the eigenbasis is the identity."""

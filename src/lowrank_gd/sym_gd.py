@@ -68,56 +68,59 @@ def gd_step(state: FactorState, target, eta: float) -> FactorState:
     op = Sigma(target)
     op.check_shape(state.dim)
     x = state.x
-    return FactorState(_step(op, x, eta, np.empty_like(x), np.empty_like(x)))
+    # A Target's Gram comes from the error's blocks, as in ``run``, so a run
+    # equals repeated steps bit for bit; an array has no known eigenbasis.
+    gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
+    return FactorState(_step(op.shifted(eta), x, gram, eta, np.empty_like(x), np.empty_like(x)))
 
 
-def _step(op: Sigma, x: np.ndarray, eta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """x + eta * (Sigma x - x (x^T x)) written into ``out``."""
-    return linalg.descent_update(op.apply(x, out=out), x, x.T @ x, eta, scratch)
+def _step(shift, x: np.ndarray, gram: np.ndarray, eta: float, out: np.ndarray,
+          scratch: np.ndarray) -> np.ndarray:
+    """(x + eta Sigma x) - x (eta X^T X) written into ``out``; ``shift`` is
+    the run's ``Sigma.shifted(eta)``."""
+    return linalg.descent_update(shift(x, out), x, eta * gram, scratch)
 
 
-def split_blocks(state: FactorState):
-    """Split the iterate into the signal block (top r rows) and the noise
-    block (remaining d - r rows)."""
-    if state.dim <= state.rank:
-        raise ValueError(f"block split needs d > r, got d={state.dim}, r={state.rank}")
-    r = state.rank
-    return state.x[:r], state.x[r:]
+def _gram(blocks) -> np.ndarray:
+    """X^T X = U^T U + J^T J from ``eigen_blocks``."""
+    return blocks[2] + blocks[3]
 
 
-def block_values(u: np.ndarray, gram_u: np.ndarray, gram_j: np.ndarray):
-    """(sigma_1(X), sigma_1(J), sigma_r(U), sigma_1^2(J) / sigma_r^2(U)) of an
-    iterate in eigenbasis coordinates, from its signal block U and the r x r
-    Gram blocks G_u = U^T U, G_j = J^T J: sigma_1 of X and J are roots of the
-    top singular values of the PSD G_u + G_j and G_j (relative error O(r eps)),
-    so no d x r matrix is decomposed. The ratio is inf for a singular U."""
+def block_values(blocks):
+    """(sigma_1(X), sigma_1(J), sigma_r(U), sigma_1^2(J) / sigma_r^2(U),
+    sigma_1(Lambda_r - U U^T)) of an iterate given by its ``eigen_blocks``,
+    from the singular values of the r x r matrices G_u + G_j, G_j, U and
+    Lambda_r - U U^T. sigma_1 of X and J are roots of the top singular
+    values of the PSD Grams (relative error O(r eps)), so no d x r matrix
+    is decomposed; sigma_r(U) comes from U itself, which keeps its accuracy
+    when U is ill-conditioned. The ratio is inf for a singular U."""
+    u, top, gram_u, gram_j = blocks
     s1x = math.sqrt(linalg.singular_values(gram_u + gram_j)[0])
     s1j = math.sqrt(linalg.singular_values(gram_j)[0])
     sru = float(linalg.singular_values(u)[-1])
     ratio = math.inf if sru <= SIGNAL_FLOOR else (s1j / sru) ** 2
-    return s1x, s1j, sru, ratio
+    return s1x, s1j, sru, ratio, float(linalg.singular_values(top)[0])
 
 
 def region_quantities(blocks, target: Target, slack: float = DEFAULT_REGION_SLACK):
     """``block_values`` plus membership in R and R2 of an iterate given by
     its ``eigen_blocks``. Region membership carries additive slack on each
     clause."""
-    u, _, gram_u, gram_j = blocks
-    s1x, s1j, sru, ratio = block_values(u, gram_u, gram_j)
+    s1x, s1j, sru, ratio, s1p = block_values(blocks)
     in_r2 = s1x ** 2 <= 2 * target.lambda_top + slack and s1j ** 2 <= target.lambda_r - target.gap / 2 + slack
     in_r = in_r2 and sru ** 2 >= target.gap / 4 - slack
-    return s1x, s1j, sru, ratio, in_r, in_r2
+    return s1x, s1j, sru, ratio, s1p, in_r, in_r2
 
 
 def in_region_r(state: FactorState, target: Target, slack: float = DEFAULT_REGION_SLACK) -> bool:
     """Membership in the absorbing region: bounded magnitude, controlled
     noise, and a signal floor, each with additive slack."""
-    return region_quantities(eigen_blocks(state, target), target, slack)[4]
+    return region_quantities(eigen_blocks(state, target), target, slack)[5]
 
 
 def in_region_r2(state: FactorState, target: Target, slack: float = DEFAULT_REGION_SLACK) -> bool:
     """Membership in the larger absorbing region without the signal floor."""
-    return region_quantities(eigen_blocks(state, target), target, slack)[5]
+    return region_quantities(eigen_blocks(state, target), target, slack)[6]
 
 
 def max_step_size(target: Target) -> float:
@@ -127,16 +130,15 @@ def max_step_size(target: Target) -> float:
     return target.gap ** 2 / (36.0 * target.lambda_top ** 3)
 
 
-def noise_signal_ratio(state: FactorState) -> float:
-    """sigma_1^2(J) / sigma_r^2(U) of an iterate in eigenbasis coordinates;
-    inf when the signal block is singular."""
-    u, j = split_blocks(state)
-    return block_values(u, u.T @ u, j.T @ j)[3]
+def noise_signal_ratio(state: FactorState, target: Target) -> float:
+    """sigma_1^2(J) / sigma_r^2(U) of an iterate in the target's eigenbasis
+    coordinates; inf when the signal block is singular."""
+    return block_values(eigen_blocks(state, target))[3]
 
 
 def signal_residual(state: FactorState, target: Target) -> float:
     """sigma_1 of the signal residual Lambda_r - U U^T."""
-    return float(linalg.singular_values(eigen_blocks(state, target)[1])[0])
+    return block_values(eigen_blocks(state, target))[4]
 
 
 def local_iteration_budget(target: Target, eta: float, epsilon: float) -> int:
@@ -151,7 +153,7 @@ def local_iteration_budget(target: Target, eta: float, epsilon: float) -> int:
 
 def approximation_error(state: FactorState, target: Target) -> float:
     """Frobenius error against the best rank-r approximation of the target."""
-    return _error_fn(target)(state.x)[0]
+    return _evaluate(state, target)[0]
 
 
 def eigen_blocks(state: FactorState, target: Target):
@@ -159,7 +161,14 @@ def eigen_blocks(state: FactorState, target: Target):
     the target's eigenbasis coordinates, as the error forms them; every
     block diagnostic reads these, so a rotated target reports the same
     values as its diagonal copy."""
-    return _error_fn(target)(state.x)[1]
+    return _evaluate(state, target)[1]
+
+
+def _evaluate(state: FactorState, target: Target):
+    """The error and ``eigen_blocks`` of one iterate, after checking that
+    its rows match the target's dimension."""
+    Sigma(target).check_shape(state.dim)
+    return _error_fn(target)(state.x)
 
 
 def _error_fn(target: Target):
@@ -217,6 +226,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     op.check_shape(state0.dim)
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
+    shift = op.shifted(eta)
     x0 = np.array(state0.x, order=op.factor_order)
     # Allocate spare right after x0: with scratch allocated between them,
     # the recorded d=1000, r=10 loop ran about 7% slower in paired runs on
@@ -230,9 +240,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
         return x, norm, err, err <= epsilon, blocks
 
     def record(t, x, err, blocks):
-        s1x, s1j, sru, ratio, in_r, in_r2 = region_quantities(blocks, target)
-        s1p = float(linalg.singular_values(blocks[1])[0])
-        return TraceRecord(t, err, s1x, s1j, sru, ratio, s1p, in_r, in_r2)
+        return TraceRecord(t, err, *region_quantities(blocks, target))
 
-    return iterate(x0, spare, lambda x, _, out: _step(op, x, eta, out, scratch),
+    return iterate(x0, spare, lambda x, blocks, out: _step(shift, x, _gram(blocks), eta, out, scratch),
                    measure, record, config, FactorState)

@@ -5,7 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from lowrank_gd import FactorState, in_region_r, make_diagonal_target
+from lowrank_gd import (
+    AsymState,
+    EigState,
+    FactorState,
+    approximation_error,
+    asym_error,
+    balance_gap,
+    best_rank_r,
+    in_region_r,
+    make_diagonal_target,
+    proj_error,
+    retract,
+)
+from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
 
 
 def random_orthogonal(rng, n):
@@ -43,6 +56,81 @@ def scaled_random_state(rng, d, r, sigma1_cap):
     x = rng.normal(size=(d, r))
     s1 = np.linalg.norm(x, 2)
     return x * (rng.uniform(0.05, 1.0) * sigma1_cap / s1)
+
+
+# --- textbook oracles: the updates with fresh arrays, in the operation order
+# --- Sigma v, minus x G, times eta, plus x; diagnostics from direct formulas
+
+def textbook_sym_step(x, lam, eta):
+    """X + eta (Sigma X - X (X^T X)) for Sigma = diag(lam)."""
+    acc = lam[:, None] * x
+    acc = acc - x @ (x.T @ x)
+    return x + eta * acc
+
+
+def textbook_asym_step(x, y, lam, eta, regularized):
+    """The two-factor update for Sigma = diag(lam), the balancing term
+    -(eta/2) X (X^T X - Y^T Y) (and + for Y) applied after the plain step."""
+    gram_x, gram_y = x.T @ x, y.T @ y
+    x_next = x + eta * (lam[:, None] * y - x @ gram_y)
+    y_next = y + eta * (lam[:, None] * x - y @ gram_x)
+    if regularized:
+        imbalance = gram_x - gram_y
+        x_next = x_next - (0.5 * eta) * (x @ imbalance)
+        y_next = y_next + (0.5 * eta) * (y @ imbalance)
+    return x_next, y_next
+
+
+def textbook_rf_step(l, lam, eta):
+    """L + eta (Sigma L - L (L^T Sigma L)) for Sigma = diag(lam)."""
+    sl = lam[:, None] * l
+    return l + eta * (sl - l @ (l.T @ sl))
+
+
+def _sv(m):
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def textbook_records(kind, state, target, eta, epsilon, max_iters, variant=None):
+    """The records of repeated textbook steps from ``state`` (an array, or
+    a pair for "asym"), one per iteration until the solver's stopping rule
+    holds or ``max_iters`` runs out. ``variant`` is the asym ``regularized``
+    flag or the eig method. The sym error is the library's block identity:
+    a dense ||Sigma_r - X X^T||_F loses relative accuracy near 1e-6."""
+    lam, r, slack = target.eigenvalues, target.rank, DEFAULT_REGION_SLACK
+    oracle = best_rank_r(target)
+    records = []
+    for t in range(max_iters + 1):
+        if kind == "sym":
+            x = state
+            s1x, s1j, sru = _sv(x)[0], _sv(x[r:])[0], _sv(x[:r])[-1]
+            in_r2 = s1x**2 <= 2 * target.lambda_top + slack and s1j**2 <= target.lambda_r - target.gap / 2 + slack
+            err = approximation_error(FactorState(x), target)
+            records.append({
+                "iter": t, "error": err, "sigma1_x": s1x, "sigma1_j": s1j, "sigmar_u": sru,
+                "ratio": (s1j / sru) ** 2, "sigma1_p": _sv(np.diag(target.leading) - x[:r] @ x[:r].T)[0],
+                "in_r": in_r2 and sru**2 >= target.gap / 4 - slack, "in_r2": in_r2,
+            })
+            done = err <= epsilon
+        elif kind == "asym":
+            pair = AsymState(*state)
+            err, balance = asym_error(pair, target, r), balance_gap(pair)
+            records.append({"iter": t, "error": err, "balance": balance})
+            done = err <= epsilon and (not variant or balance <= epsilon)
+        else:
+            if variant == "rgd":
+                state = retract(state)
+            err = proj_error(EigState(state), oracle)
+            records.append({"iter": t, "proj_error": err})
+            done = err <= epsilon
+        if done or t == max_iters:
+            return records
+        if kind == "sym":
+            state = textbook_sym_step(state, lam, eta)
+        elif kind == "asym":
+            state = textbook_asym_step(*state, lam, eta, variant)
+        else:
+            state = textbook_rf_step(state, lam, eta)
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import lowrank_gd as lg
 from lowrank_gd import DivergenceError, SolverConfig
 from lowrank_gd.engine import iterate
 
@@ -52,3 +54,30 @@ def test_iterate_steps_in_two_buffers_that_trade_places():
     assert [out is spare for out in outs] == [True, False, True, False, True]
     assert all(out is x0 for out in outs[1::2])
     assert trace.final_state.tolist() == [5.0, 5.0] and spare.tolist() == [5.0, 5.0]
+
+
+@pytest.mark.parametrize("solver", ["sym", "asym", "retraction_free"])
+def test_runs_allocate_no_factor_sized_array_per_step(solver):
+    # Peak traced memory of a whole run: the iterate, its spare and scratch
+    # buffers (per factor), the diagonal's d-length columns, and half a
+    # factor of slack. One d x r temporary per step would exceed it.
+    d, r = 20000, 4
+    values = np.concatenate([np.linspace(3.0, 2.0, r), np.full(d - r, 0.5)])
+    target = lg.make_diagonal_target(values, d, r)
+    cfg = SolverConfig(eta=0.05, epsilon=1e-14, max_iters=20, record_every=1000)
+    x0, y0 = 0.1 * lg.gaussian_factor(d, r, 1), 0.1 * lg.gaussian_factor(d, r, 2)
+    run, factors, columns = {
+        "sym": (lambda: lg.run(lg.FactorState(x0), target, cfg), 1, 1),
+        "asym": (lambda: lg.run_asym(lg.AsymState(x0, y0), target, cfg), 2, 2),
+        "retraction_free": (lambda: lg.run_eig(lg.EigState(x0), target, cfg), 1, 0),
+    }[solver]
+    tracemalloc.start()
+    try:
+        trace = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 20
+    factor = x0.nbytes
+    assert peak < (3 * factors + 0.5) * factor + columns * d * 8
+

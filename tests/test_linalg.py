@@ -53,6 +53,32 @@ def test_singular_values_char_poly_oracle(rng):
         np.testing.assert_allclose(linalg.singular_values(m), expected, atol=1e-9)
 
 
+def test_singular_values_of_a_stack_match_separate_calls(rng):
+    # The shapes of a sym record: three r x r matrices and one signal
+    # block, here taken as a strided view as the record takes it.
+    x = np.asfortranarray(rng.normal(size=(40, 4)))
+    u, j = x[:4], x[4:]
+    mats = [u.T @ u + j.T @ j, j.T @ j, u, np.diag([4.0, 3.0, 2.0, 1.0]) - u @ u.T]
+    stacked = linalg.singular_values(np.stack(mats))
+    assert stacked.shape == (4, 4)
+    for row, m in zip(stacked, mats):
+        np.testing.assert_array_equal(row, linalg.singular_values(m))
+
+
+def test_singular_values_reject_non_finite_anywhere_in_a_stack():
+    for bad in (np.nan, np.inf):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.singular_values(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 3, 3), ()])
+def test_singular_values_need_a_matrix_or_a_stack(shape):
+    with pytest.raises(ValueError, match="ndim"):
+        linalg.singular_values(np.ones(shape))
+
+
 def test_singular_values_squared_match_gram_eigs(rng):
     m = rng.normal(size=(5, 3))
     s = linalg.singular_values(m)

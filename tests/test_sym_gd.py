@@ -25,12 +25,11 @@ from lowrank_gd import (
     noise_signal_ratio,
     run,
     signal_residual,
-    split_blocks,
     warmup_budget,
 )
 from lowrank_gd import experiment_spectrum, load_config
 from lowrank_gd.engine import DIVERGENCE_LIMIT
-from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
+from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK, eigen_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,31 +85,6 @@ def test_gd_step_matches_block_form(rng):
         assert np.max(np.abs(nxt.x - np.vstack([u_next, j_next]))) <= 1e-14
 
 
-# --- block views -----------------------------------------------------------
-
-def test_split_blocks_definition():
-    u, j = split_blocks(FactorState(col(1.0, 2.0, 3.0)))
-    np.testing.assert_allclose(u, [[1.0]])
-    np.testing.assert_allclose(j, [[2.0], [3.0]])
-
-
-def test_split_blocks_reconstructs():
-    x = np.arange(8.0).reshape(4, 2)
-    u, j = split_blocks(FactorState(x))
-    np.testing.assert_array_equal(np.vstack([u, j]), x)
-
-
-def test_split_blocks_zero_bottom():
-    x = np.vstack([np.eye(2), np.zeros((3, 2))])
-    _, j = split_blocks(FactorState(x))
-    np.testing.assert_allclose(j, 0.0)
-
-
-def test_split_blocks_needs_tall_factor():
-    with pytest.raises(ValueError):
-        split_blocks(FactorState(np.eye(2)))
-
-
 # --- regions ---------------------------------------------------------------
 
 def test_region_r_examples():
@@ -141,9 +115,9 @@ def test_max_step_size_values():
 
 
 def test_noise_signal_ratio():
-    assert noise_signal_ratio(FactorState(col(1.0, 0.5))) == pytest.approx(0.25)
-    assert noise_signal_ratio(FactorState(col(1.0, 0.0))) == 0.0
-    assert noise_signal_ratio(FactorState(col(0.0, 0.3))) == math.inf
+    assert noise_signal_ratio(FactorState(col(1.0, 0.5)), TOY) == pytest.approx(0.25)
+    assert noise_signal_ratio(FactorState(col(1.0, 0.0)), TOY) == 0.0
+    assert noise_signal_ratio(FactorState(col(0.0, 0.3)), TOY) == math.inf
 
 
 def test_signal_residual():
@@ -325,6 +299,7 @@ def test_rotated_target_records_match_diagonal(seed):
     assert (rotated.records[-1].in_r, rotated.records[-1].in_r2) == (final.in_r, final.in_r2)
     assert in_region_r(rotated.final_state, rotated_target)
     assert signal_residual(rotated.final_state, rotated_target) == pytest.approx(final.sigma1_p, rel=1e-8, abs=1e-10)
+    assert noise_signal_ratio(rotated.final_state, rotated_target) == pytest.approx(final.ratio, rel=1e-8, abs=1e-10)
     # The entry condition and the warm-up budget of a small start, too.
     small = 1e-3 * gaussian_factor(d, r, seed=1)
     diag_target = make_diagonal_target(values, d, r)
@@ -335,6 +310,20 @@ def test_rotated_target_records_match_diagonal(seed):
         assert g.margin == pytest.approx(w.margin, rel=1e-8, abs=1e-10), w.name
     assert warmup_budget(FactorState(basis @ small), rotated_target, cfg.eta) == 861
     assert warmup_budget(FactorState(small), diag_target, cfg.eta) == 861
+
+
+@pytest.mark.parametrize("diagnostic", [
+    eigen_blocks, approximation_error, in_region_r, in_region_r2, noise_signal_ratio, signal_residual,
+    lambda state, target: check_condition_1(state, target, 0.05),
+    lambda state, target: warmup_budget(state, target, 0.05),
+], ids=["eigen_blocks", "approximation_error", "in_region_r", "in_region_r2", "noise_signal_ratio",
+        "signal_residual", "check_condition_1", "warmup_budget"])
+def test_diagnostics_reject_a_state_of_the_wrong_dimension(diagnostic):
+    # A 4-row iterate against a 5-dimensional diagonal target: the raw-row
+    # blocks would exist, so only the shape check stops the evaluation.
+    target = make_diagonal_target([3.0, 2.0, 1.0, 0.5, 0.2], 5, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        diagnostic(FactorState(np.full((4, 2), 0.1)), target)
 
 
 def test_run_rejects_indefinite_target():
@@ -377,10 +366,10 @@ def test_ratio_decay_along_trajectories(rng):
         eta = max_step_size(target)
         factor = 1.0 - eta * target.gap / 3.0
         state = sample_state_in_region(rng, target)
-        prev = noise_signal_ratio(state)
+        prev = noise_signal_ratio(state, target)
         for _ in range(120):
             state = gd_step(state, target, eta)
-            ratio = noise_signal_ratio(state)
+            ratio = noise_signal_ratio(state, target)
             assert ratio <= factor * prev + 1e-12
             prev = ratio
 
