@@ -11,7 +11,6 @@ from .asym_gd import (
     asym_step,
     balance_gap,
     lift,
-    pad_square,
     run_asym,
 )
 from .engine import DivergenceError, SolverConfig, Trace
@@ -47,7 +46,6 @@ from .linalg import (
     singular_values,
     spd_inv_sqrt,
     svd,
-    sym_eig,
 )
 from .spectrum import (
     RankROracle,

@@ -97,7 +97,7 @@ def lift(state: AsymState, sigma=None) -> LiftedState:
     """Stack the factors into the symmetric side of the change of variables.
 
     Defined for square problems (d1 == d2); zero-pad rectangular factors
-    with ``pad_square`` first. When ``sigma`` is given, the block-diagonal
+    to max(d1, d2) rows first. When ``sigma`` is given, the block-diagonal
     driver diag(2 Sigma, -2 Sigma) is attached.
     """
     d1, d2 = state.x.shape[0], state.y.shape[0]
@@ -113,17 +113,6 @@ def lift(state: AsymState, sigma=None) -> LiftedState:
         lifted[:d1, :d1] = 2.0 * sigma
         lifted[d1:, d1:] = -2.0 * sigma
     return LiftedState(w=w, lifted_target=lifted)
-
-
-def pad_square(state: AsymState) -> AsymState:
-    """Zero-pad the shorter factor so both live in max(d1, d2) rows."""
-    d = max(state.x.shape[0], state.y.shape[0])
-    r = state.rank
-    x = np.zeros((d, r))
-    y = np.zeros((d, r))
-    x[: state.x.shape[0]] = state.x
-    y[: state.y.shape[0]] = state.y
-    return AsymState(x, y)
 
 
 def balance_gap(state: AsymState) -> float:
@@ -204,10 +193,8 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     err_fn = _error_fn(op, state0.rank)
     eta, epsilon = config.eta, config.epsilon
     ascents = op.ascent(eta), op.ascent(eta, transpose=True)
-    xy0 = np.array(state0.x, order=op.factor_order), np.array(state0.y, order=op.factor_order)
-    # Spare buffers right after the iterate, as in ``sym_gd.run``.
-    spare = tuple(map(np.empty_like, xy0))
-    scratch = tuple(map(np.empty_like, xy0))
+    xy0, spare, scratch = zip(linalg.step_buffers(state0.x, op.factor_order),
+                              linalg.step_buffers(state0.y, op.factor_order))
 
     def measure(xy):
         x, y = xy

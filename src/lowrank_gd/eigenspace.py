@@ -8,8 +8,9 @@ wall-clock benchmark compares against. Scaling a frame by the matrix
 square root of the target maps one retraction-free step onto one step of
 the symmetric factored iteration, which is used as a per-step oracle.
 
-Both methods apply the target through ``spectrum.Sigma``, and ``run_eig``
-is a thin caller of the shared ``engine.iterate``.
+Both methods apply the target through ``spectrum.Sigma`` and keep their
+frames in its ``factor_order``, and ``run_eig`` is a thin caller of the
+shared ``engine.iterate``.
 """
 
 import math
@@ -56,10 +57,11 @@ class EigRecord:
 
 def rf_step(state: EigState, sigma, eta: float) -> EigState:
     """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
-    Target or a symmetric array."""
+    Target or a symmetric array. The step runs in ``Sigma.factor_order``,
+    as ``run_eig`` does, so a run equals repeated steps bit for bit."""
     op = Sigma(sigma)
     op.check_shape(state.dim)
-    l = state.l
+    l = np.asarray(state.l, order=op.factor_order)
     return EigState(_step(op, l, eta, np.empty_like(l), np.empty_like(l)))
 
 
@@ -75,14 +77,30 @@ def _step(op: Sigma, l: np.ndarray, eta: float, out: np.ndarray, scratch: np.nda
 
 def retract(l_tilde) -> np.ndarray:
     """Pull a full-rank frame back onto the Stiefel manifold:
-    L = L~ (L~^T L~)^(-1/2). Raises on rank-deficient input."""
+    L = L~ (L~^T L~)^(-1/2), the polar retraction. Raises on rank-deficient
+    or non-finite input. The result keeps the frame's memory layout."""
     l_tilde = linalg.as_matrix(l_tilde, "frame")
-    return l_tilde @ linalg.spd_inv_sqrt(l_tilde.T @ l_tilde)
+    return _polar(l_tilde, linalg.spd_inv_sqrt(l_tilde.T @ l_tilde))
+
+
+def _retract_lean(l: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``retract(l)`` given the finite Gram l^T l, without the input
+    validation: the same symmetrization, rank test and product, so the same
+    bits. The retracted loop calls this on the frame it has just formed."""
+    return _polar(l, linalg.inv_sqrt_symmetric(0.5 * (gram + gram.T)))
+
+
+def _polar(l: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """l @ inv_sqrt in a new array with l's memory layout, never one of the
+    run's step buffers."""
+    return np.matmul(l, inv_sqrt, out=np.empty_like(l))
 
 
 def rgd_step(state: EigState, sigma, eta: float) -> EigState:
-    """Retract the frame, then apply the Riemannian gradient update."""
-    return rf_step(EigState(retract(state.l)), sigma, eta)
+    """Retract the frame, then apply the Riemannian gradient update. Both
+    run in ``Sigma.factor_order``, as in ``run_eig``."""
+    l = np.asarray(state.l, order=Sigma(sigma).factor_order)
+    return rf_step(EigState(retract(l)), sigma, eta)
 
 
 def proj_error(state: EigState, oracle: RankROracle) -> float:
@@ -106,15 +124,17 @@ def lift_to_sym(state: EigState, target: Target) -> FactorState:
 
 def _proj_error_fn(target: Target):
     """Closure for ||Pi_r - L L^T||_F via the Gram identity
-    r - 2 ||B_r^T L||_F^2 + ||L^T L||_F^2, avoiding d x d products."""
+    r - 2 ||B_r^T L||_F^2 + ||L^T L||_F^2, avoiding d x d products. It
+    returns the error and the Gram L^T L, whose trace the divergence guard
+    reads."""
     r = target.rank
     to_eigen = Sigma(target).to_eigen
 
-    def err(l: np.ndarray) -> float:
+    def err(l: np.ndarray):
         top = to_eigen(l)[:r]
         gram = l.T @ l
-        sq = r - 2.0 * float(np.sum(top * top)) + float(np.sum(gram * gram))
-        return math.sqrt(max(sq, 0.0))
+        sq = r - 2.0 * float(np.vdot(top, top)) + float(np.vdot(gram, gram))
+        return math.sqrt(max(sq, 0.0)), gram
 
     return err
 
@@ -140,7 +160,14 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
     Trace
         EigRecords of the projection error at the recording cadence;
         ``wall_time`` measures the iteration loop only (the retraction
-        included), so benchmark comparisons exclude setup.
+        included), so benchmark comparisons exclude setup. Frames live in
+        ``Sigma.factor_order``.
+
+    Raises
+    ------
+    DivergenceError
+        If the frame norm reaches the divergence guard, or (rgd) the frame's
+        Gram is no longer finite; the partial trace rides on the exception.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -151,18 +178,17 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
     err_fn = _proj_error_fn(target)
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon
-    # Row-major whatever ``op.factor_order``: on column-major frames the
-    # products round differently and the eig CSVs would change. The spare
-    # buffer comes right after the frame, as in ``sym_gd.run``.
-    l0 = np.array(state0.l, order="C")
-    spare, scratch = np.empty_like(l0), np.empty_like(l0)
+    l0, spare, scratch = linalg.step_buffers(state0.l, op.factor_order)
 
     def measure(l):
         if retracted:
-            l = l @ linalg.spd_inv_sqrt(l.T @ l)
-        norm = float(np.linalg.norm(l))
-        err = err_fn(l)
-        return l, norm, err, err <= epsilon, None
+            gram = l.T @ l
+            # A non-finite Gram skips the retraction: its trace then trips
+            # the divergence guard below.
+            if np.isfinite(gram).all():
+                l = _retract_lean(l, gram)
+        err, gram = err_fn(l)
+        return l, math.sqrt(np.trace(gram)), err, err <= epsilon, None
 
     return iterate(
         l0, spare, lambda l, _, out: _step(op, l, eta, out, scratch), measure,

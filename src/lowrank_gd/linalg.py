@@ -18,6 +18,13 @@ SYMMETRY_TOL = 1e-12
 # to the largest one.
 SPD_MIN_EIG = 1e-12
 
+# Byte boundary the solvers' step buffers start on: one cache line. malloc
+# puts a large array 16 bytes past a page or anywhere in a line, depending
+# on what the process allocated before; the d=20000, r=10 symmetric loop
+# ran about 10% slower on buffers 8 or 16 bytes off a line than on aligned
+# ones (2-vCPU Xeon VM).
+BUFFER_ALIGN = 64
+
 
 class NumericalError(RuntimeError):
     """A matrix decomposition failed to converge."""
@@ -64,6 +71,22 @@ def singular_values(m) -> np.ndarray:
         raise NumericalError(f"singular value iteration did not converge: {exc}") from exc
 
 
+def step_buffers(x, order: str) -> list:
+    """A run's three float64 buffers per factor, shaped like ``x`` in memory
+    order ``order``, each starting on a ``BUFFER_ALIGN``-byte boundary: a
+    copy of ``x`` (the first iterate), then the uninitialized spare and
+    scratch buffers."""
+    x = np.asarray(x, dtype=np.float64)
+    size = x.size * x.itemsize
+    buffers = []
+    for _ in range(3):
+        raw = np.empty(size + BUFFER_ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % BUFFER_ALIGN
+        buffers.append(raw[start:start + size].view(np.float64).reshape(x.shape, order=order))
+    buffers[0][...] = x
+    return buffers
+
+
 def descent_update(base: np.ndarray, x: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Overwrite ``base`` with base - x @ m and return it. ``scratch``,
     shaped like x, receives x @ m; neither buffer may alias x. The updates
@@ -86,30 +109,6 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    s : array_like
-        Square matrix, symmetric to within ``SYMMETRY_TOL`` entrywise.
-
-    Returns
-    -------
-    eigenvalues : ndarray
-        In descending order.
-    eigenvectors : ndarray
-        Orthonormal columns; column ``i`` pairs with ``eigenvalues[i]``.
-    """
-    a = _require_symmetric(as_matrix(s, "sym_eig input"), "sym_eig input")
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"symmetric eigensolve did not converge: {exc}") from exc
-    # eigh returns ascending order
-    return w[::-1], v[:, ::-1]
-
-
 def svd(m):
     """Thin SVD ``m = left @ diag(s) @ right.T`` with descending ``s``."""
     a = as_matrix(m)
@@ -124,12 +123,22 @@ def spd_inv_sqrt(s) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
     Returns the symmetric ``R`` with ``R @ S @ R = I``. Raises ValueError
-    when the smallest eigenvalue is at or below ``SPD_MIN_EIG`` times the
-    largest, which for the retraction use case signals a rank-deficient
-    frame. The test is relative, so a full-rank frame of any scale passes,
-    as the retraction L (L^T L)^(-1/2) is scale-invariant.
+    on a non-square, non-finite or asymmetric input, and when the smallest
+    eigenvalue is at or below ``SPD_MIN_EIG`` times the largest, which for
+    the retraction use case signals a rank-deficient frame. The test is
+    relative, so a full-rank frame of any scale passes, as the retraction
+    L (L^T L)^(-1/2) is scale-invariant.
     """
     a = _require_symmetric(as_matrix(s, "spd_inv_sqrt input"), "spd_inv_sqrt input")
+    return inv_sqrt_symmetric(a)
+
+
+def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
+    """``spd_inv_sqrt`` of an input already known to be a finite, exactly
+    symmetric square matrix: eigh, the relative rank test, (v / sqrt(w)) v^T,
+    then symmetrize. The retracted eigenspace loop calls this on the Gram it
+    has just formed and symmetrized; it raises the same ValueError on a
+    rank-deficient input."""
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

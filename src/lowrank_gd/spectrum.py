@@ -124,11 +124,15 @@ class Sigma:
 
     @property
     def factor_order(self) -> str:
-        """Memory order of the solvers' factor buffers. "F" for a diagonal
-        operator: its elementwise product then runs down contiguous columns,
-        not r-element rows (1.8x faster at d=20000, r=10), and the BLAS
-        products give the same bits as on row-major factors. "C" for a
-        dense one, whose products would round differently on "F"."""
+        """Memory order of every solver's factor buffers: the symmetric and
+        two-factor iterates and the eigenspace frames, in runs and in the
+        eigenspace single steps. "F" for a diagonal operator: its
+        elementwise product then runs down contiguous columns, not r-element
+        rows (1.8x faster at d=20000, r=10). The symmetric and two-factor
+        products give the same bits as on row-major factors; the eigenspace
+        Gram L^T Sigma L rounds differently (the shipped projection errors
+        moved by up to 6.3e-11). "C" for a dense one, whose products would
+        round differently on "F"."""
         return "F" if self.diag is not None else "C"
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -124,10 +124,15 @@ def in_region_r2(state: FactorState, target: Target, slack: float = DEFAULT_REGI
 
 
 def max_step_size(target: Target) -> float:
-    """Largest step size covered by the local convergence guarantee."""
-    if target.lambda_top <= 0:
+    """Largest step size covered by the local convergence guarantee,
+    gap^2 / (36 lambda_1^3). Formed as (gap / lambda_1)^2 / (36 lambda_1),
+    so a spectrum whose lambda_1^3 leaves the float range gives a number
+    (0 at worst) instead of an OverflowError."""
+    lam1 = target.lambda_top
+    if lam1 <= 0:
         raise ValueError("step size bound needs a positive top eigenvalue")
-    return target.gap ** 2 / (36.0 * target.lambda_top ** 3)
+    ratio = target.gap / lam1
+    return ratio * ratio / (36.0 * lam1)
 
 
 def noise_signal_ratio(state: FactorState, target: Target) -> float:
@@ -227,11 +232,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
     shift = op.shifted(eta)
-    x0 = np.array(state0.x, order=op.factor_order)
-    # Allocate spare right after x0: with scratch allocated between them,
-    # the recorded d=1000, r=10 loop ran about 7% slower in paired runs on
-    # a 2-core Xeon VM (buffer placement; the exact cause was not isolated).
-    spare, scratch = np.empty_like(x0), np.empty_like(x0)
+    x0, spare, scratch = linalg.step_buffers(state0.x, op.factor_order)
 
     def measure(x):
         err, blocks = err_fn(x)

@@ -26,6 +26,17 @@ def random_orthogonal(rng, n):
     return q
 
 
+def pad_square(state):
+    """Zero-pad the shorter factor so both live in max(d1, d2) rows: the
+    oracle that relates a rectangular problem to its square embedding."""
+    d = max(state.x.shape[0], state.y.shape[0])
+    x = np.zeros((d, state.rank))
+    y = np.zeros((d, state.rank))
+    x[: state.x.shape[0]] = state.x
+    y[: state.y.shape[0]] = state.y
+    return AsymState(x, y)
+
+
 def random_psd_target(rng, d, r, equal_top=False):
     """Random diagonal PSD target with a safely positive eigengap."""
     vals = np.sort(rng.uniform(0.2, 5.0, d))[::-1]

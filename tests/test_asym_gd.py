@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal
+from conftest import pad_square, random_orthogonal
 from lowrank_gd import (
     AsymState,
     DivergenceError,
@@ -15,7 +15,6 @@ from lowrank_gd import (
     gd_step,
     lift,
     make_diagonal_target,
-    pad_square,
     run_asym,
 )
 from lowrank_gd.engine import DIVERGENCE_LIMIT

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_psd_target
+from conftest import random_orthogonal, random_psd_target
 from lowrank_gd import (
+    DivergenceError,
     EigState,
     SolverConfig,
     best_rank_r,
@@ -12,13 +13,14 @@ from lowrank_gd import (
     gd_step,
     lift_to_sym,
     make_diagonal_target,
+    make_target,
     proj_error,
     retract,
     rf_step,
     rgd_step,
     run_eig,
 )
-from lowrank_gd.eigenspace import _proj_error_fn
+from lowrank_gd.eigenspace import _proj_error_fn, _retract_lean
 
 TOY = make_diagonal_target([2.0, 1.0], 2, 1)
 
@@ -66,8 +68,11 @@ def test_retract_examples(rng):
 
 
 def test_retract_rejects_rank_deficient():
+    l = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="rank deficient"):
-        retract(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+        retract(l)
+    with pytest.raises(ValueError, match="rank deficient"):
+        _retract_lean(l, l.T @ l)
 
 
 def test_retract_is_scale_invariant(rng):
@@ -75,6 +80,18 @@ def test_retract_is_scale_invariant(rng):
     # shrunk to 1e-7 (Gram eigenvalues near 1e-14) retracts like the original.
     l = rng.normal(size=(50, 2))
     np.testing.assert_allclose(retract(1e-7 * l), retract(l), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_lean_retraction_equals_retract(rng, order, scale):
+    # The retracted loop skips retract's input validation, not its
+    # arithmetic: same bits, and the result keeps the frame's layout.
+    for _ in range(10):
+        l = np.array(scale * rng.normal(size=(40, 3)), order=order)
+        lean = _retract_lean(l, l.T @ l)
+        np.testing.assert_array_equal(lean, retract(l))
+        assert lean.flags[f"{order}_CONTIGUOUS"] and not np.shares_memory(lean, l)
 
 
 def test_rgd_step_fixed_points_and_formula(rng):
@@ -197,7 +214,7 @@ def test_run_matches_repeated_steps(method):
         if t:
             manual = STEPS[method](manual, target, 0.05)
         frame = retract(manual.l) if method == "rgd" else manual.l
-        assert rec.iter == t and rec.proj_error == err_fn(frame)
+        assert rec.iter == t and rec.proj_error == err_fn(frame)[0]
     np.testing.assert_array_equal(trace.final_state.l, frame)
 
 
@@ -211,6 +228,32 @@ def test_run_eig_leaves_state0_untouched(method, iters):
     assert trace.iterations == iters
     np.testing.assert_array_equal(state.l, before)
     assert not np.shares_memory(trace.final_state.l, state.l)
+
+
+@pytest.mark.parametrize("method", ["retraction_free", "rgd"])
+def test_run_eig_frames_follow_the_factor_order(rng, method):
+    # Column-major for a diagonal target, whose diagonal multiply then runs
+    # down contiguous columns; row-major for a rotated one.
+    values = [3.0, 2.0, 1.0, 0.5, 0.2, 0.1]
+    cfg = SolverConfig(eta=0.05, epsilon=1e-14, max_iters=3)
+    l0 = np.array(gaussian_factor(6, 2, seed=3), order="C")
+    for target, flag in ((make_diagonal_target(values, 6, 2), "F_CONTIGUOUS"),
+                         (make_target(values, 2, random_orthogonal(rng, 6)), "C_CONTIGUOUS")):
+        assert run_eig(EigState(l0), target, cfg, method=method).final_state.l.flags[flag]
+
+
+def test_run_eig_rgd_overflow_raises_divergence_with_trace():
+    # lambda_1 = 1e200: the first step's frame is finite but its Gram is
+    # not, so the run ends at the divergence guard rather than in the
+    # retraction's input validation.
+    target = make_diagonal_target([1e200, 1e199] + [1.0] * 18, 20, 2)
+    cfg = SolverConfig(eta=0.5, epsilon=1e-4, max_iters=100)
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as excinfo:
+        run_eig(EigState(0.5 * gaussian_factor(20, 2, seed=1)), target, cfg, method="rgd")
+    trace = excinfo.value.trace
+    assert not trace.converged and trace.iterations == 1
+    assert [rec.iter for rec in trace.records] == [0, 1]
+    assert math.isfinite(trace.records[0].proj_error)
 
 
 def test_run_eig_reports_wall_time():

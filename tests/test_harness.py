@@ -402,6 +402,23 @@ def test_cli_eig_run_retracts_a_small_scale_frame(tmp_path):
     assert summary["runs"][0]["converged"]
 
 
+# lambda_1^3 leaves the float range, and the iterates overflow.
+OVERFLOWING_EIG = dict(MINIMAL_SYM, kind="eig", dim=20, rank=2, eta=0.5, epsilon=1e-4,
+                       spectrum={"explicit": [1e200, 1e199] + [1] * 18})
+
+
+def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_path):
+    # The summary's theory fields are computed after every run: the step
+    # size bound underflows towards 0 instead of raising OverflowError.
+    proc = _cli_subprocess(tmp_path, dict(OVERFLOWING_EIG, method="retraction_free"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["any_diverged"] and summary["runs"][0]["diverged"]
+    assert summary["eta_within_theory"] is False
+    assert summary["alpha_regimes"] == {"0.5": "moderate"}
+
+
 def test_cli_bench_takes_out_and_seed(tmp_path, capsys):
     payload = dict(MINIMAL_SYM, kind="bench", dim=6, rank=2, spectrum={"experiment": {"hi": 3, "lo": 2}},
                    eta=0.05, epsilon=1e-4, max_iters=2000, repeats=2, out_dir=str(tmp_path / "unused"))

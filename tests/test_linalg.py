@@ -86,36 +86,6 @@ def test_singular_values_squared_match_gram_eigs(rng):
     np.testing.assert_allclose(s**2, gram_eigs, rtol=1e-10, atol=1e-12)
 
 
-def test_sym_eig_diagonal():
-    w, v = linalg.sym_eig(np.diag([5.0, 2.0, 1.0]))
-    np.testing.assert_allclose(w, [5.0, 2.0, 1.0])
-    np.testing.assert_allclose(np.abs(v), np.eye(3), atol=1e-12)
-
-
-def test_sym_eig_exchange_matrix():
-    w, _ = linalg.sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-12)
-
-
-def test_sym_eig_identity():
-    w, _ = linalg.sym_eig(np.eye(4))
-    np.testing.assert_allclose(w, np.ones(4))
-
-
-def test_sym_eig_contracts(rng):
-    a = rng.normal(size=(6, 6))
-    s = a + a.T
-    w, v = linalg.sym_eig(s)
-    assert np.all(np.diff(w) <= 0)
-    np.testing.assert_allclose(s @ v, v * w, atol=1e-9)
-    np.testing.assert_allclose(v.T @ v, np.eye(6), atol=1e-10)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        linalg.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 def test_svd_diagonal():
     _, s, _ = linalg.svd(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(s, [3.0, 1.0])
@@ -175,5 +145,19 @@ def test_singular_values_transpose_invariance(rng):
 def test_psd_singular_values_equal_eigenvalues(rng):
     a = rng.normal(size=(5, 5))
     s = a.T @ a
-    w, _ = linalg.sym_eig(s)
+    w = np.linalg.eigvalsh(s)[::-1]
     np.testing.assert_allclose(linalg.singular_values(s), w, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_step_buffers_are_aligned_copies_in_the_given_order(rng, order):
+    x = rng.normal(size=(37, 3))
+    buffers = linalg.step_buffers(x, order)
+    assert len(buffers) == 3
+    np.testing.assert_array_equal(buffers[0], x)
+    for b in buffers:
+        assert b.shape == x.shape and b.dtype == np.float64
+        assert b.flags[f"{order}_CONTIGUOUS"] and b.flags.writeable
+        assert b.ctypes.data % linalg.BUFFER_ALIGN == 0
+        assert not np.shares_memory(b, x)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
