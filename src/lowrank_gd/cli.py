@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .harness import ConfigError, UnwritableOutputError, emit_plot, load_config, run_experiment
+from .harness import ConfigError, UnwritableOutputError, config_number, emit_plot, load_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,8 +39,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"bench subcommand needs kind 'bench', config has {config.kind!r}")
         if args.command == "run" and config.kind == "bench":
             raise ConfigError("kind 'bench' runs through the bench subcommand")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+        if args.seed is not None:
+            config_number({"--seed": args.seed}, "--seed", -1, integer=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

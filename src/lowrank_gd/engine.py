@@ -6,6 +6,8 @@ raw iterate (an array, or a tuple of arrays for the two-factor problem).
 Every run returns one ``Trace`` type.
 """
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -33,20 +35,23 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (0 < self.eta <= 1.0):
+        # Written so that NaN fails every comparison and is rejected.
+        if not 0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        for name in ("max_iters", "record_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
 class Trace:
     """Recorded history of a run plus its outcome. Every record has
-    ``iter`` and ``error`` attributes; the last one is the terminal one."""
+    ``iter`` and ``error`` attributes; the last one is the terminal one.
+    ``final_state`` is None when a diverged iterate is not finite, as the
+    solvers' state types reject one."""
 
     records: list
     converged: bool
@@ -86,9 +91,11 @@ def iterate(x, spare, step, measure, record, config: SolverConfig, wrap) -> Trac
     method retracts here), the norm the divergence guard checks, the
     error, whether the stopping rule holds, and whatever ``step`` and
     ``record`` reuse. ``record(t, x, error, aux)`` builds one record every
-    ``config.record_every`` iterations and at termination. ``wrap`` turns
-    the final raw iterate into the solver's state type. ``wall_time``
-    covers the loop only.
+    ``config.record_every`` iterations and at termination; on a diverged
+    pass the iterate may hold inf or NaN, and ``record`` must still build
+    its record. ``wrap`` turns the final raw iterate into the solver's
+    state type, or raises ValueError when that iterate is not finite.
+    ``wall_time`` covers the loop only.
 
     Raises DivergenceError, carrying the trace so far, when the norm
     reaches DIVERGENCE_LIMIT or is NaN.
@@ -107,9 +114,13 @@ def iterate(x, spare, step, measure, record, config: SolverConfig, wrap) -> Trac
         x, spare = step(x, aux, spare), x
         t += 1
     wall = time.perf_counter() - start
-    trace = Trace(records, done and not diverged, t, err, wall, wrap(x))
-    if diverged:
-        raise DivergenceError(
-            f"iterate norm {norm:.3e} reached the divergence guard at iteration {t}", trace
-        )
-    return trace
+    if not diverged:
+        return Trace(records, done, t, err, wall, wrap(x))
+    try:
+        final = wrap(x)
+    except ValueError:  # an overflowed iterate
+        final = None
+    raise DivergenceError(
+        f"iterate norm {norm:.3e} reached the divergence guard at iteration {t}",
+        Trace(records, False, t, err, wall, final),
+    )

@@ -13,6 +13,8 @@ so re-running a config reproduces every CSV byte for byte.
 
 import csv
 import json
+import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -31,6 +33,7 @@ _TOP_KEYS = {
     "kind", "dim", "rank", "spectrum", "eta", "epsilon", "max_iters",
     "init", "repeats", "record_every", "regularized", "method", "out_dir",
 }
+_REQUIRED_KEYS = ("kind", "dim", "rank", "spectrum", "eta", "epsilon", "max_iters", "init")
 _INIT_KEYS = {"scheme", "alpha", "seed", "multiplier"}
 _SPECTRUM_KEYS = {"experiment", "equal_top", "explicit"}
 
@@ -53,15 +56,15 @@ class ExperimentConfig:
     epsilon: float
     max_iters: int
     alphas: list
-    scheme: str = "moderate"
-    seed: int = 0
-    multiplier: float = 1.0
-    repeats: int = 1
-    record_every: int = 1
-    regularized: str = "both"          # "reg", "unreg", or "both"
-    methods: tuple = ("retraction_free", "rgd")
-    out_dir: str = "out"
-    raw: dict = field(default_factory=dict, repr=False)
+    scheme: str
+    seed: int
+    multiplier: float
+    repeats: int
+    record_every: int
+    regularized: tuple                 # asym flags: (True,), (False,) or (True, False)
+    methods: tuple
+    out_dir: str
+    raw: dict = field(repr=False)
 
 
 @dataclass
@@ -86,21 +89,23 @@ class ExperimentResult:
     diverged: bool
 
 
-def _require(obj: dict, key: str, types, what: str):
-    if key not in obj:
-        raise ConfigError(f"missing required key '{what}'")
-    value = obj[key]
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(f"invalid value for '{what}': expected {types}, got a boolean")
-    if not isinstance(value, types):
-        raise ConfigError(f"invalid value for '{what}': expected {types}, got {type(value).__name__}")
-    return value
-
-
-def _positive(value, what: str):
-    if value <= 0:
-        raise ConfigError(f"invalid value for '{what}': must be positive, got {value}")
-    return value
+def config_number(obj: dict, name: str, low=0, high=math.inf, *, integer=False, default=None):
+    """The one rule for a number in a config. ``name`` is the key's dotted
+    path, and its last part the key in ``obj``; an absent key takes
+    ``default``. The value must be a JSON number (an integer where
+    ``integer`` is set), not a boolean, finite, and in low < value <= high.
+    Returns it, as a float unless ``integer``; any other value raises a
+    ConfigError naming the key."""
+    value = obj.get(name.rpartition(".")[2], default)
+    # abs(value) <= the largest float fails for NaN, +-inf and for integers
+    # beyond the float range.
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max or not low < value <= high):
+        span = f"[{low + 1}" if integer else f"({low:g}"
+        span += f", {high:g}]" if high < math.inf else ", inf)"
+        raise ConfigError(f"invalid value for '{name}': expected "
+                          f"{'an integer' if integer else 'a finite number'} in {span}, got {value!r}")
+    return value if integer else float(value)
 
 
 def _resolve_spectrum(spec, dim: int, rank: int) -> np.ndarray:
@@ -113,22 +118,18 @@ def _resolve_spectrum(spec, dim: int, rank: int) -> np.ndarray:
     if key == "experiment":
         if not isinstance(value, dict) or set(value) != {"hi", "lo"}:
             raise ConfigError("invalid value for 'spectrum.experiment': expected {hi, lo}")
+        lo = config_number(value, "spectrum.experiment.lo", 1.0)
+        hi = config_number(value, "spectrum.experiment.hi", lo)
         try:
-            return spectrum.experiment_spectrum(float(value["hi"]), float(value["lo"]), rank, dim)
+            return spectrum.experiment_spectrum(hi, lo, rank, dim)
         except ValueError as exc:
             raise ConfigError(f"invalid value for 'spectrum.experiment': {exc}") from exc
     if key == "equal_top":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError("invalid value for 'spectrum.equal_top': expected a number")
-        if value <= 1.0:
-            raise ConfigError("invalid value for 'spectrum.equal_top': must exceed the unit tail")
-        return np.concatenate([np.full(rank, float(value)), np.ones(dim - rank)])
+        top = config_number(spec, "spectrum.equal_top", 1.0)
+        return np.concatenate([np.full(rank, top), np.ones(dim - rank)])
     if not isinstance(value, list) or not value:
         raise ConfigError("invalid value for 'spectrum.explicit': expected a non-empty list")
-    bad = [v for v in value if not isinstance(v, (int, float)) or isinstance(v, bool)]
-    if bad:
-        raise ConfigError(f"invalid value for 'spectrum.explicit': expected numbers, got {bad[0]!r}")
-    return np.asarray(value, dtype=np.float64)
+    return np.array([config_number({"explicit": v}, "spectrum.explicit", -math.inf) for v in value])
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -138,65 +139,52 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = sorted(set(raw) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    missing = [key for key in _REQUIRED_KEYS if key not in raw]
+    if missing:
+        raise ConfigError(f"missing required key '{missing[0]}'")
 
-    kind = _require(raw, "kind", str, "kind")
+    kind = raw["kind"]
     if kind not in KINDS:
         raise ConfigError(f"invalid value for 'kind': expected one of {KINDS}, got {kind!r}")
-    dim = _positive(_require(raw, "dim", int, "dim"), "dim")
-    rank = _positive(_require(raw, "rank", int, "rank"), "rank")
-    if rank >= dim:
-        raise ConfigError(f"invalid value for 'rank': must be below dim={dim}, got {rank}")
-    values = _resolve_spectrum(_require(raw, "spectrum", dict, "spectrum"), dim, rank)
-    if values.size != dim:
-        raise ConfigError(f"invalid value for 'spectrum': expected {dim} values, got {values.size}")
-    eta = _positive(float(_require(raw, "eta", (int, float), "eta")), "eta")
-    if eta > 1.0:
-        raise ConfigError(f"invalid value for 'eta': must be at most 1, got {eta}")
-    epsilon = _positive(float(_require(raw, "epsilon", (int, float), "epsilon")), "epsilon")
-    max_iters = _positive(_require(raw, "max_iters", int, "max_iters"), "max_iters")
+    dim = config_number(raw, "dim", integer=True)
+    rank = config_number(raw, "rank", 0, dim - 1, integer=True)
+    values = _resolve_spectrum(raw["spectrum"], dim, rank)
+    eta = config_number(raw, "eta", 0, 1)
+    epsilon = config_number(raw, "epsilon")
+    max_iters = config_number(raw, "max_iters", integer=True)
 
-    init = _require(raw, "init", dict, "init")
+    init = raw["init"]
+    if not isinstance(init, dict):
+        raise ConfigError(f"invalid value for 'init': expected an object, got {init!r}")
     unknown = sorted(set(init) - _INIT_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join('init.' + k for k in unknown)}")
     scheme = init.get("scheme", "moderate")
     if scheme not in ("small", "moderate"):
         raise ConfigError(f"invalid value for 'init.scheme': expected 'small' or 'moderate', got {scheme!r}")
-    alpha_raw = init.get("alpha", 0.5)
-    alphas = alpha_raw if isinstance(alpha_raw, list) else [alpha_raw]
+    alphas = init.get("alpha", 0.5)
+    alphas = alphas if isinstance(alphas, list) else [alphas]
     if not alphas:
         raise ConfigError("invalid value for 'init.alpha': list must be non-empty")
-    parsed_alphas = []
-    for a in alphas:
-        if not isinstance(a, (int, float)) or isinstance(a, bool) or a <= 0:
-            raise ConfigError(f"invalid value for 'init.alpha': must be positive numbers, got {a!r}")
-        parsed_alphas.append(float(a))
-    names = [f"a{a:g}" for a in parsed_alphas]
+    alphas = [config_number({"alpha": a}, "init.alpha") for a in alphas]
+    names = [f"a{a:g}" for a in alphas]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise ConfigError(f"invalid value for 'init.alpha': {parsed_alphas[names.index(name)]!r} and "
-                              f"{parsed_alphas[i]!r} share the variant name {name!r}")
-    seed = init.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"invalid value for 'init.seed': expected a nonnegative integer, got {seed!r}")
-    multiplier = init.get("multiplier", 1.0)
-    if not isinstance(multiplier, (int, float)) or isinstance(multiplier, bool) or multiplier <= 0:
-        raise ConfigError(f"invalid value for 'init.multiplier': must be positive, got {multiplier!r}")
-
-    repeats = raw.get("repeats", 1)
-    if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
-        raise ConfigError(f"invalid value for 'repeats': expected an integer >= 1, got {repeats!r}")
+            raise ConfigError(f"invalid value for 'init.alpha': {alphas[names.index(name)]!r} and "
+                              f"{alphas[i]!r} share the variant name {name!r}")
+    seed = config_number(init, "init.seed", -1, integer=True, default=0)
+    multiplier = config_number(init, "init.multiplier", default=1.0)
+    repeats = config_number(raw, "repeats", integer=True, default=1)
     # bench runs record only the first and last iteration unless told otherwise
-    record_every = raw.get("record_every", max_iters if kind == "bench" else 1)
-    if not isinstance(record_every, int) or isinstance(record_every, bool) or record_every < 1:
-        raise ConfigError(f"invalid value for 'record_every': expected an integer >= 1, got {record_every!r}")
+    record_every = config_number(raw, "record_every", integer=True,
+                                 default=max_iters if kind == "bench" else 1)
 
     regularized = raw.get("regularized", "both")
-    if regularized is True:
-        regularized = "reg"
-    elif regularized is False:
-        regularized = "unreg"
-    elif regularized != "both":
+    if regularized is True or regularized is False:
+        regularized = (regularized,)
+    elif regularized == "both":
+        regularized = (True, False)
+    else:
         raise ConfigError("invalid value for 'regularized': expected true, false, or \"both\"")
 
     method = raw.get("method", "both")
@@ -230,7 +218,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         kind=kind, dim=dim, rank=rank, values=values, eta=eta, epsilon=epsilon,
-        max_iters=max_iters, alphas=parsed_alphas, scheme=scheme, seed=seed,
+        max_iters=max_iters, alphas=alphas, scheme=scheme, seed=seed,
         multiplier=multiplier, repeats=repeats, record_every=record_every,
         regularized=regularized, methods=methods, out_dir=out_dir, raw=raw,
     )
@@ -299,9 +287,8 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
         if config.kind == "sym":
             variants = [(f"a{alpha:g}", {"alpha": alpha_eff})]
         elif config.kind == "asym":
-            flags = {"reg": [True], "unreg": [False], "both": [True, False]}[config.regularized]
             variants = [(f"a{alpha:g}_{'reg' if f else 'unreg'}", {"alpha": alpha_eff, "regularized": f})
-                        for f in flags]
+                        for f in config.regularized]
         else:
             variants = [(f"a{alpha:g}_{_SHORT[m]}", {"alpha": alpha_eff, "method": m})
                         for m in config.methods]

@@ -241,7 +241,11 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
         return x, norm, err, err <= epsilon, blocks
 
     def record(t, x, err, blocks):
-        return TraceRecord(t, err, *region_quantities(blocks, target))
+        try:
+            values = region_quantities(blocks, target)
+        except ValueError:  # the non-finite blocks of an overflowed iterate
+            values = (math.nan,) * 5 + (False, False)
+        return TraceRecord(t, err, *values)
 
     return iterate(x0, spare, lambda x, blocks, out: _step(shift, x, _gram(blocks), eta, out, scratch),
                    measure, record, config, FactorState)

@@ -81,3 +81,18 @@ def test_runs_allocate_no_factor_sized_array_per_step(solver):
     factor = x0.nbytes
     assert peak < (3 * factors + 0.5) * factor + columns * d * 8
 
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", math.nan), ("eta", 0.0), ("eta", 1.5),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", 0.0),
+    ("max_iters", math.nan), ("max_iters", 2.5), ("max_iters", 0), ("max_iters", True),
+    ("record_every", math.nan), ("record_every", 2.5), ("record_every", 0),
+])
+def test_solver_config_rejects_a_bad_field_by_name(field, value):
+    # A NaN max_iters would never satisfy t >= max_iters, so a run could
+    # only stop by converging.
+    fields = dict(eta=0.1, epsilon=1e-6, max_iters=10, record_every=1)
+    SolverConfig(**fields)
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**dict(fields, **{field: value}))

@@ -1,6 +1,8 @@
+import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -65,13 +67,46 @@ def test_missing_key_is_named():
         parse_config(payload)
 
 
-def test_invalid_value_is_named():
-    with pytest.raises(ConfigError, match="'epsilon'"):
-        parse_config(dict(MINIMAL_SYM, epsilon=-1.0))
-    with pytest.raises(ConfigError, match="'spectrum.equal_top'"):
-        parse_config(dict(MINIMAL_SYM, spectrum={"equal_top": 0.5}))
-    with pytest.raises(ConfigError, match="'init.seed'"):
-        parse_config(dict(MINIMAL_SYM, init={"alpha": 0.5, "seed": -3}))
+# Every numeric key with a value outside its range. spectrum.explicit takes
+# any finite number, so its entry leaves the float range instead.
+OUT_OF_RANGE = {
+    "dim": 0, "rank": 4, "eta": 1.5, "epsilon": -1.0, "max_iters": 0,
+    "init.alpha": 0.0, "init.seed": -3, "init.multiplier": 0.0, "repeats": 0, "record_every": 0,
+    "spectrum.experiment.hi": 2.0, "spectrum.experiment.lo": 1.0, "spectrum.equal_top": 0.5,
+    "spectrum.explicit": 10**400,
+}
+BAD_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "string": "2", "null": None,
+               "boolean": True, "list": [2]}
+
+
+def _with_number(key, value):
+    """A valid d=4, r=2 config with ``value`` at ``key``; list-valued keys
+    get it as one entry."""
+    config = copy.deepcopy(dict(MINIMAL_SYM, dim=4, rank=2, spectrum={"experiment": {"hi": 7, "lo": 2}}))
+    if key == "spectrum.equal_top":
+        config["spectrum"] = {"equal_top": value}
+    elif key == "spectrum.explicit":
+        config["spectrum"] = {"explicit": [3.0, value, 1.0, 1.0]}
+    elif key == "init.alpha":
+        config["init"]["alpha"] = [0.5, value]
+    else:
+        *path, last = key.split(".")
+        node = config
+        for part in path:
+            node = node[part]
+        node[last] = value
+    return config
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}-{case}")
+    for key in OUT_OF_RANGE
+    for case, value in dict(BAD_NUMBERS, out_of_range=OUT_OF_RANGE[key]).items()
+])
+def test_invalid_value_is_named(key, value):
+    parse_config(_with_number(key, 1 if key == "eta" else 3))  # the config parses with a good value
+    with pytest.raises(ConfigError, match=re.escape(f"invalid value for '{key}'")):
+        parse_config(_with_number(key, value))
 
 
 def test_colliding_alpha_variant_names_are_rejected():
@@ -342,6 +377,12 @@ def test_cli_rejects_eta_above_one(tmp_path):
     _assert_config_error(_cli_subprocess(tmp_path, dict(MINIMAL_SYM, eta=2.0)), "'eta'")
 
 
+def test_cli_rejects_a_nan_eta(tmp_path):
+    proc = _cli_subprocess(tmp_path, dict(MINIMAL_SYM, eta=float("nan")))
+    assert '"eta": NaN' in (tmp_path / "config.json").read_text()
+    _assert_config_error(proc, "'eta'")
+
+
 @pytest.mark.parametrize("kind", ["sym", "eig", "bench"])
 def test_cli_rejects_indefinite_spectrum(tmp_path, kind):
     payload = dict(MINIMAL_SYM, kind=kind, dim=4, rank=2, spectrum={"explicit": [3, 2, 1, -1]})
@@ -402,21 +443,26 @@ def test_cli_eig_run_retracts_a_small_scale_frame(tmp_path):
     assert summary["runs"][0]["converged"]
 
 
-# lambda_1^3 leaves the float range, and the iterates overflow.
-OVERFLOWING_EIG = dict(MINIMAL_SYM, kind="eig", dim=20, rank=2, eta=0.5, epsilon=1e-4,
-                       spectrum={"explicit": [1e200, 1e199] + [1] * 18})
+# lambda_1^3 leaves the float range, and the iterates overflow to inf or NaN.
+OVERFLOWING = dict(MINIMAL_SYM, dim=20, rank=2, eta=1.0, max_iters=50, init={"alpha": 100.0, "seed": 1},
+                   spectrum={"explicit": [1.7e308, 1e308] + [1] * 18})
 
 
-def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_path):
-    # The summary's theory fields are computed after every run: the step
-    # size bound underflows towards 0 instead of raising OverflowError.
-    proc = _cli_subprocess(tmp_path, dict(OVERFLOWING_EIG, method="retraction_free"))
+@pytest.mark.parametrize("kind, method", [("sym", "both"), ("eig", "retraction_free"), ("eig", "rgd"), ("asym", "both")],
+                         ids=["sym", "eig-rf", "eig-rgd", "asym"])
+def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_path, kind, method):
+    # Neither the terminal record nor the final state of an overflowed
+    # iterate may raise; the CSVs and the summary are written. The summary's
+    # theory fields are computed after every run: the step size bound
+    # underflows towards 0 instead of raising OverflowError.
+    proc = _cli_subprocess(tmp_path, dict(OVERFLOWING, kind=kind, method=method))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["any_diverged"] and summary["runs"][0]["diverged"]
+    assert all(Path(run["csv_path"]).exists() for run in summary["runs"])
     assert summary["eta_within_theory"] is False
-    assert summary["alpha_regimes"] == {"0.5": "moderate"}
+    assert summary["alpha_regimes"] == {"100": "moderate"}
 
 
 def test_cli_bench_takes_out_and_seed(tmp_path, capsys):
