@@ -71,7 +71,7 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
     x, y = state.x, state.y
     grams = _grams(op, state.rank, x, y)
     out = np.empty_like(x), np.empty_like(y)
-    scratch = np.empty_like(x), np.empty_like(y)
+    scratch = linalg.block_scratch(x), linalg.block_scratch(y)
     ascents = op.ascent(eta), op.ascent(eta, transpose=True)
     return AsymState(*_step(ascents, x, y, *grams, eta, regularized, out, scratch))
 

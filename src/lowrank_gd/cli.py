@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 on success, 1 when any run diverged, 2 on config errors
-(a negative ``--seed`` among them) and on an unwritable output directory.
+(a negative ``--seed`` and an ``init.alpha`` that overflows the initial
+factor among them) and on an unwritable output directory.
 """
 
 import argparse
@@ -47,6 +48,9 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(config, out_dir=args.out, seed_override=args.seed)
+    except ConfigError as exc:  # an init.alpha that overflows the seed's draw
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except UnwritableOutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

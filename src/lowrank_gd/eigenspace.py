@@ -62,7 +62,7 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
     op = Sigma(sigma)
     op.check_shape(state.dim)
     l = np.asarray(state.l, order=op.factor_order)
-    return EigState(_step(op, l, eta, np.empty_like(l), np.empty_like(l)))
+    return EigState(_step(op, l, eta, np.empty_like(l), linalg.block_scratch(l)))
 
 
 def _step(op: Sigma, l: np.ndarray, eta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asym_gd, eigenspace, engine, initialization, spectrum, sym_gd
 
-FLOAT_FMT = ".17g"
+FLOAT_FMT = "%.17g"
 
 KINDS = ("sym", "asym", "eig", "bench")
 
@@ -236,19 +236,19 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), FLOAT_FMT)
+def _row_format(row) -> str:
+    """One %-format line for a CSV row: ``%d`` for bools (0/1) and
+    integers, ``FLOAT_FMT`` for everything else, which %-formatting
+    converts with ``float``."""
+    return ",".join(["%d" if isinstance(v, (int, np.integer)) else FLOAT_FMT for v in row]) + "\n"
 
 
 def _write_csv(path: Path, columns, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            fh.write(_row_format(row) % row)
 
 
 def _alpha_for(config: ExperimentConfig, alpha: float, target) -> float:
@@ -298,17 +298,27 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
     return jobs
 
 
+def _scaled(alpha: float, draw: np.ndarray, seed: int) -> np.ndarray:
+    """``alpha * draw``, or ConfigError when that initial factor would
+    overflow. The check scales only the draw's largest magnitude, so it
+    allocates nothing."""
+    if not math.isfinite(alpha * max(float(draw.max()), -float(draw.min()))):
+        raise ConfigError(f"invalid value for 'init.alpha': {alpha!r} overflows the initial "
+                          f"factor drawn with seed {seed}")
+    return alpha * draw
+
+
 def _solve(config: ExperimentConfig, target, seed: int, params: dict) -> engine.Trace:
     d, r, alpha = config.dim, config.rank, params["alpha"]
     solver_cfg = engine.SolverConfig(config.eta, config.epsilon, config.max_iters, config.record_every)
     if config.kind == "sym":
-        x0 = alpha * initialization.gaussian_factor(d, r, seed)
+        x0 = _scaled(alpha, initialization.gaussian_factor(d, r, seed), seed)
         return sym_gd.run(sym_gd.FactorState(x0), target, solver_cfg)
     if config.kind == "asym":
         n0, n1 = initialization.gaussian_pair(d, d, r, seed)
-        state0 = asym_gd.AsymState(alpha * n0, alpha * n1)
+        state0 = asym_gd.AsymState(_scaled(alpha, n0, seed), _scaled(alpha, n1, seed))
         return asym_gd.run_asym(state0, target, solver_cfg, regularized=params["regularized"])
-    l0 = alpha * initialization.gaussian_factor(d, r, seed)
+    l0 = _scaled(alpha, initialization.gaussian_factor(d, r, seed), seed)
     return eigenspace.run_eig(eigenspace.EigState(l0), target, solver_cfg, method=params["method"])
 
 

@@ -25,6 +25,15 @@ SPD_MIN_EIG = 1e-12
 # ones (2-vCPU Xeon VM).
 BUFFER_ALIGN = 64
 
+# Bytes of factor rows ``descent_update`` multiplies at once: the product
+# of one row block stays in L2 until the subtract reads it back, instead
+# of making a round trip through a d x r scratch. perfbench sym-solve
+# (d=20000, r=10; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS 0.3.31),
+# median solve_ms.p50 over 4 alternating rounds: unblocked 402, 256 KiB
+# 343, 320 KiB 344, 640 KiB 365. In-process, 128 KiB blocks ran slower
+# than none: each block is one more small threaded BLAS call.
+BLOCK_BYTES = 320 * 1024
+
 
 class NumericalError(RuntimeError):
     """A matrix decomposition failed to converge."""
@@ -71,31 +80,66 @@ def singular_values(m) -> np.ndarray:
         raise NumericalError(f"singular value iteration did not converge: {exc}") from exc
 
 
+def block_rows(d: int, r: int) -> int:
+    """Rows per block of ``descent_update`` for a d x r factor: all d when
+    they fit, else the most rows, a multiple of 8, whose float64 entries
+    fit ``BLOCK_BYTES`` (at least 8)."""
+    return min(d, max(8, BLOCK_BYTES // (8 * r) // 8 * 8))
+
+
+def block_scratch(x) -> np.ndarray:
+    """The scratch ``descent_update`` takes for ``x``, as ``step_buffers``
+    sizes it: ``block_rows`` rows in x's memory order, so a factor that fits
+    one block gets a buffer shaped like x. The solvers' single steps use it,
+    so a run equals repeated steps bit for bit."""
+    return np.empty_like(x[:block_rows(*x.shape)])
+
+
 def step_buffers(x, order: str) -> list:
-    """A run's three float64 buffers per factor, shaped like ``x`` in memory
-    order ``order``, each starting on a ``BUFFER_ALIGN``-byte boundary: a
-    copy of ``x`` (the first iterate), then the uninitialized spare and
-    scratch buffers."""
+    """A run's three float64 buffers per factor in memory order ``order``,
+    each starting on a ``BUFFER_ALIGN``-byte boundary: a copy of ``x`` (the
+    first iterate), the uninitialized spare shaped like x, and the
+    uninitialized one-block scratch of ``descent_update``, ``block_rows``
+    rows. A factor that fits one block gets three equal buffers; a larger
+    one saves a d x r buffer (1.6 MB at d=20000, r=10)."""
     x = np.asarray(x, dtype=np.float64)
-    size = x.size * x.itemsize
+    d, r = x.shape
+    shapes = (d, r), (d, r), (block_rows(d, r), r)
     buffers = []
-    for _ in range(3):
+    for rows, cols in shapes:
+        size = rows * cols * 8
         raw = np.empty(size + BUFFER_ALIGN, dtype=np.uint8)
         start = -raw.ctypes.data % BUFFER_ALIGN
-        buffers.append(raw[start:start + size].view(np.float64).reshape(x.shape, order=order))
+        buffers.append(raw[start:start + size].view(np.float64).reshape((rows, cols), order=order))
     buffers[0][...] = x
     return buffers
 
 
 def descent_update(base: np.ndarray, x: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite ``base`` with base - x @ m and return it. ``scratch``,
-    shaped like x, receives x @ m; neither buffer may alias x. The updates
-    of all three solvers are this kernel, with ``base`` = x + eta Sigma v
-    and the r x r ``m`` folding in the step size, the Gram and (for the
-    two factors) the balancing term, so a run that reuses its buffers
-    computes the same bits as one that allocates every step."""
-    np.matmul(x, m, out=scratch)
-    return np.subtract(base, scratch, out=base)
+    """Overwrite ``base`` with base - x @ m and return it, forming x @ m in
+    ``scratch``; neither buffer may alias x. A scratch shaped like x takes
+    the product whole, in one matmul and one subtract. A shorter one
+    (``block_rows`` rows, from ``step_buffers`` or ``block_scratch``) takes
+    it in row blocks of its height, so each block's product is read back
+    from L2, not memory. Runs and single steps take the same blocks, so
+    they match bit for bit on any BLAS; on OpenBLAS 0.3.31 the blocks also
+    keep the bits of the whole product at every r <= 16 (some row-major
+    products at larger r differ in the last bits). The updates of all three
+    solvers are this kernel, with ``base`` = x + eta Sigma v and the r x r
+    ``m`` folding in the step size, the Gram and (for the two factors) the
+    balancing term."""
+    d, rows = x.shape[0], scratch.shape[0]
+    if rows == d:
+        np.matmul(x, m, out=scratch)
+        return np.subtract(base, scratch, out=base)
+    for start in range(0, d, rows):
+        stop = min(start + rows, d)
+        # A one-row product goes through gemv, which rounds differently from
+        # gemm; a last block of one row is formed with the row above it.
+        low = min(start, stop - 2)
+        block = np.matmul(x[low:stop], m, out=scratch[:stop - low])
+        np.subtract(base[start:stop], block[start - low:], out=base[start:stop])
+    return base
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:

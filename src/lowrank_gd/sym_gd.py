@@ -71,7 +71,7 @@ def gd_step(state: FactorState, target, eta: float) -> FactorState:
     # A Target's Gram comes from the error's blocks, as in ``run``, so a run
     # equals repeated steps bit for bit; an array has no known eigenbasis.
     gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
-    return FactorState(_step(op.shifted(eta), x, gram, eta, np.empty_like(x), np.empty_like(x)))
+    return FactorState(_step(op.shifted(eta), x, gram, eta, np.empty_like(x), linalg.block_scratch(x)))
 
 
 def _step(shift, x: np.ndarray, gram: np.ndarray, eta: float, out: np.ndarray,

@@ -18,7 +18,15 @@ from lowrank_gd import (
     proj_error,
     retract,
 )
+from lowrank_gd import linalg
 from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
+
+
+def multi_block_target(tail, r=10):
+    """A diagonal target whose d x r factors fill two row blocks of the
+    shared step kernel, ``linalg.descent_update``, plus ``tail`` rows."""
+    d = 2 * linalg.block_rows(10**9, r) + tail
+    return make_diagonal_target(np.concatenate([np.linspace(3.0, 2.0, r), np.linspace(1.0, 0.5, d - r)]), d, r)
 
 
 def random_orthogonal(rng, n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pad_square, random_orthogonal
+from conftest import multi_block_target, pad_square, random_orthogonal
 from lowrank_gd import (
     AsymState,
     DivergenceError,
@@ -12,6 +12,7 @@ from lowrank_gd import (
     asym_error,
     asym_step,
     balance_gap,
+    gaussian_factor,
     gd_step,
     lift,
     make_diagonal_target,
@@ -208,6 +209,19 @@ def test_run_matches_repeated_steps_on_dense_sigma(rng, problem, regularized):
         state = AsymState(0.1 * rng.normal(size=(6, 2)), 0.1 * rng.normal(size=(4, 2)))
     trace, manual = _run_and_step(state, sigma, regularized, 41)
     assert trace.iterations == 41
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+@pytest.mark.parametrize("tail", [1, 2000])
+def test_run_above_one_block_matches_repeated_steps(tail, regularized):
+    # Both factors span three row blocks of the step kernel.
+    target = multi_block_target(tail)
+    d, r = target.dim, target.rank
+    state = AsymState(0.5 * gaussian_factor(d, r, seed=1), 0.5 * gaussian_factor(d, r, seed=2))
+    trace, manual = _run_and_step(state, target, regularized, 20)
+    assert trace.iterations == 20
     np.testing.assert_array_equal(trace.final_state.x, manual.x)
     np.testing.assert_array_equal(trace.final_state.y, manual.y)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal, random_psd_target
+from conftest import multi_block_target, random_orthogonal, random_psd_target
 from lowrank_gd import (
     DivergenceError,
     EigState,
@@ -210,6 +210,23 @@ def test_run_matches_repeated_steps(method):
     manual = EigState(gaussian_factor(50, 5, seed=2))
     trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=60), method=method)
     assert trace.iterations == 60
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = STEPS[method](manual, target, 0.05)
+        frame = retract(manual.l) if method == "rgd" else manual.l
+        assert rec.iter == t and rec.proj_error == err_fn(frame)[0]
+    np.testing.assert_array_equal(trace.final_state.l, frame)
+
+
+@pytest.mark.parametrize("method", ["retraction_free", "rgd"])
+@pytest.mark.parametrize("tail", [1, 2000])
+def test_run_above_one_block_matches_repeated_steps(method, tail):
+    # The frame spans three row blocks of the step kernel.
+    target = multi_block_target(tail)
+    err_fn = _proj_error_fn(target)
+    manual = EigState(gaussian_factor(target.dim, target.rank, seed=2))
+    trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=20), method=method)
+    assert trace.iterations == 20
     for t, rec in enumerate(trace.records):
         if t:
             manual = STEPS[method](manual, target, 0.05)

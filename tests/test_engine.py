@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lowrank_gd as lg
-from lowrank_gd import DivergenceError, SolverConfig
+from lowrank_gd import DivergenceError, SolverConfig, linalg
 from lowrank_gd.engine import iterate
 
 
@@ -58,9 +58,10 @@ def test_iterate_steps_in_two_buffers_that_trade_places():
 
 @pytest.mark.parametrize("solver", ["sym", "asym", "retraction_free"])
 def test_runs_allocate_no_factor_sized_array_per_step(solver):
-    # Peak traced memory of a whole run: the iterate, its spare and scratch
-    # buffers (per factor), the diagonal's d-length columns, and half a
-    # factor of slack. One d x r temporary per step would exceed it.
+    # Peak traced memory of a whole run: the iterate and its spare (per
+    # factor), one row block of the step kernel's scratch (per factor), the
+    # diagonal's d-length columns, and a quarter factor of slack. One d x r
+    # temporary per step, or a d x r scratch, would exceed it.
     d, r = 20000, 4
     values = np.concatenate([np.linspace(3.0, 2.0, r), np.full(d - r, 0.5)])
     target = lg.make_diagonal_target(values, d, r)
@@ -78,8 +79,9 @@ def test_runs_allocate_no_factor_sized_array_per_step(solver):
     finally:
         tracemalloc.stop()
     assert trace.iterations == 20
-    factor = x0.nbytes
-    assert peak < (3 * factors + 0.5) * factor + columns * d * 8
+    factor, block = x0.nbytes, linalg.block_rows(d, r) * r * 8
+    assert block < 0.6 * factor
+    assert peak < (2 * factors + 0.25) * factor + factors * block + columns * d * 8
 
 
 

@@ -465,6 +465,17 @@ def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_pat
     assert summary["alpha_regimes"] == {"100": "moderate"}
 
 
+@pytest.mark.parametrize("kind", ["sym", "asym", "eig"])
+def test_cli_names_an_init_alpha_that_overflows_the_initial_factor(tmp_path, kind):
+    # 1e308 passes the number rule, but seed 3 draws an entry above 1.8, so
+    # the scaled initial factor overflows before any run starts.
+    payload = dict(MINIMAL_SYM, kind=kind, eta=0.05, max_iters=100, init={"alpha": 1e308, "seed": 3})
+    proc = _cli_subprocess(tmp_path, payload)
+    _assert_config_error(proc, "'init.alpha'")
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "1e+308" in lines[0] and "seed 3" in lines[0]
+
+
 def test_cli_bench_takes_out_and_seed(tmp_path, capsys):
     payload = dict(MINIMAL_SYM, kind="bench", dim=6, rank=2, spectrum={"experiment": {"hi": 3, "lo": 2}},
                    eta=0.05, epsilon=1e-4, max_iters=2000, repeats=2, out_dir=str(tmp_path / "unused"))
@@ -475,3 +486,26 @@ def test_cli_bench_takes_out_and_seed(tmp_path, capsys):
     assert summary["seed_base"] == 7
     assert sorted({run["seed"] for run in summary["runs"]}) == [7, 8]
     assert not (tmp_path / "unused").exists()
+
+
+def _per_value_row(row) -> str:
+    """The CSV rule value by value: bools as 0/1, integers in full, every
+    other value as float with 17 significant digits."""
+    def fmt(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+    return ",".join(fmt(v) for v in row) + "\n"
+
+
+@pytest.mark.parametrize("row", [
+    (0, 0.5, float("nan"), float("inf"), -float("inf"), True, False),
+    (12345678901234567890, np.int64(-7), np.float64(1 / 3), np.float64(-0.0), np.True_, np.False_),
+    (5e-324, 2.2250738585072014e-308 / 3, -1e-310, 1.7976931348623157e308, np.float64(np.nan)),
+    (np.int32(3), np.float32(0.1), 1, -2.5e-17),
+])
+def test_csv_row_format_matches_the_per_value_rule(row):
+    assert harness._row_format(row) % row == _per_value_row(row)
+

@@ -151,13 +151,63 @@ def test_psd_singular_values_equal_eigenvalues(rng):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_step_buffers_are_aligned_copies_in_the_given_order(rng, order):
-    x = rng.normal(size=(37, 3))
-    buffers = linalg.step_buffers(x, order)
-    assert len(buffers) == 3
-    np.testing.assert_array_equal(buffers[0], x)
-    for b in buffers:
-        assert b.shape == x.shape and b.dtype == np.float64
-        assert b.flags[f"{order}_CONTIGUOUS"] and b.flags.writeable
-        assert b.ctypes.data % linalg.BUFFER_ALIGN == 0
-        assert not np.shares_memory(b, x)
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
+    # A factor above one block gets a scratch of one block, not of d rows.
+    r = 3
+    rows = linalg.block_rows(10**9, r)
+    for d, scratch_rows in ((37, 37), (2 * rows + 5, rows)):
+        x = rng.normal(size=(d, r))
+        buffers = linalg.step_buffers(x, order)
+        assert len(buffers) == 3
+        np.testing.assert_array_equal(buffers[0], x)
+        for b, shape in zip(buffers, [x.shape, x.shape, (scratch_rows, r)]):
+            assert b.shape == shape and b.dtype == np.float64
+            assert b.flags[f"{order}_CONTIGUOUS"] and b.flags.writeable
+            assert b.ctypes.data % linalg.BUFFER_ALIGN == 0
+            assert not np.shares_memory(b, x)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
+        assert buffers[2].shape == linalg.block_scratch(x).shape
+
+
+def test_block_rows_fit_the_block_in_multiples_of_eight():
+    for r in (1, 3, 10, 64, 10**6):
+        rows = linalg.block_rows(10**9, r)
+        assert rows % 8 == 0 and rows >= 8
+        assert rows * r * 8 <= linalg.BLOCK_BYTES or rows == 8
+        assert (rows + 8) * r * 8 > linalg.BLOCK_BYTES
+        assert linalg.block_rows(rows, r) == rows and linalg.block_rows(5, r) == 5
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("half_block", [True, False], ids=["partial-tail", "one-row-tail"])
+def test_descent_update_in_row_blocks_equals_the_whole_product(rng, order, half_block):
+    # One block-sized scratch gives the bits of a scratch shaped like x,
+    # with a partial last block and with a last block of a single row
+    # (numpy would take that one through gemv, which rounds differently).
+    r = 10
+    rows = linalg.block_rows(10**9, r)
+    d = 2 * rows + (rows // 2 if half_block else 1)
+    x, base = (np.asarray(rng.normal(size=(d, r)), order=order) for _ in range(2))
+    m = rng.normal(size=(r, r))
+    scratch = linalg.block_scratch(x)
+    assert scratch.shape == (rows, r) and scratch.flags[f"{order}_CONTIGUOUS"]
+    whole = linalg.descent_update(base.copy(order=order), x, m, np.empty_like(x))
+    blocked = base.copy(order=order)
+    assert linalg.descent_update(blocked, x, m, scratch) is blocked
+    np.testing.assert_array_equal(blocked, whole)
+    np.testing.assert_array_equal(whole, base - x @ m)
+
+
+def test_descent_update_of_one_block_is_one_matmul_and_one_subtract(rng, monkeypatch):
+    calls = []
+    for name in ("matmul", "subtract"):
+        def counted(*args, _f=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    x, base, m = rng.normal(size=(50, 3)), rng.normal(size=(50, 3)), rng.normal(size=(3, 3))
+    linalg.descent_update(base, x, m, linalg.block_scratch(x))
+    assert calls == ["matmul", "subtract"]
+    calls.clear()
+    tall = rng.normal(size=(int(2.5 * linalg.block_rows(10**9, 3)), 3))
+    linalg.descent_update(tall.copy(), tall, m, linalg.block_scratch(tall))
+    assert calls == ["matmul", "subtract"] * 3

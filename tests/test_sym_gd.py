@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal, random_psd_target, sample_state_in_region, scaled_random_state
+from conftest import multi_block_target, random_orthogonal, random_psd_target, sample_state_in_region, scaled_random_state
 from lowrank_gd import (
     DivergenceError,
     FactorState,
@@ -218,6 +218,22 @@ def test_run_on_rotated_target_matches_repeated_gd_step():
     target = make_target(values, r, basis=random_orthogonal(np.random.default_rng(5), d))
     manual = FactorState(0.5 * gaussian_factor(d, r, seed=2))
     trace = run(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=25))
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = gd_step(manual, target, 0.05)
+        assert rec.iter == t and rec.error == approximation_error(manual, target)
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+
+
+@pytest.mark.parametrize("tail", [1, 2000])
+def test_run_above_one_block_matches_repeated_gd_step(tail):
+    # The factor spans three row blocks of the step kernel (the last one a
+    # single row or a partial block); the run's block-sized scratch and
+    # gd_step's give the same bits.
+    target = multi_block_target(tail)
+    manual = FactorState(0.5 * gaussian_factor(target.dim, target.rank, seed=4))
+    trace = run(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=20))
+    assert trace.iterations == 20
     for t, rec in enumerate(trace.records):
         if t:
             manual = gd_step(manual, target, 0.05)
