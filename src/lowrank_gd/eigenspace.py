@@ -62,17 +62,9 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
     op = Sigma(sigma)
     op.check_shape(state.dim)
     l = np.asarray(state.l, order=op.factor_order)
-    return EigState(_step(op, l, eta, np.empty_like(l), linalg.block_scratch(l)))
-
-
-def _step(op: Sigma, l: np.ndarray, eta: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(l + eta Sigma l) - l (eta l^T Sigma l) written into ``out``: Sigma is
-    applied once, and its product both forms the Gram and builds the base."""
-    sl = op.apply(l, out=out)
-    gram = l.T @ sl
-    # Sigma.ascent's dense branch, inlined because the Gram needs Sigma l.
-    base = np.add(l, np.multiply(eta, sl, out=sl), out=sl)
-    return linalg.descent_update(base, l, eta * gram, scratch)
+    # The Gram L^T L is formed as the error closure forms it in ``run_eig``.
+    step = op.floor_step(eta, state.rank)
+    return EigState(step(l, l.T @ l, np.empty_like(l), linalg.block_scratch(l), sandwich=True))
 
 
 def retract(l_tilde) -> np.ndarray:
@@ -178,6 +170,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
     err_fn = _proj_error_fn(target)
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon
+    step = op.floor_step(eta, state0.rank)
     l0, spare, scratch = linalg.step_buffers(state0.l, op.factor_order)
 
     def measure(l):
@@ -188,9 +181,9 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
             if np.isfinite(gram).all():
                 l = _retract_lean(l, gram)
         err, gram = err_fn(l)
-        return l, math.sqrt(np.trace(gram)), err, err <= epsilon, None
+        return l, math.sqrt(np.trace(gram)), err, err <= epsilon, gram
 
     return iterate(
-        l0, spare, lambda l, _, out: _step(op, l, eta, out, scratch), measure,
+        l0, spare, lambda l, gram, out: step(l, gram, out, scratch, sandwich=True), measure,
         lambda t, l, err, _: EigRecord(t, err), config, EigState,
     )

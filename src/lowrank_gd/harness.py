@@ -298,28 +298,38 @@ def _build_jobs(config: ExperimentConfig, target, seed_base: int):
     return jobs
 
 
-def _scaled(alpha: float, draw: np.ndarray, seed: int) -> np.ndarray:
-    """``alpha * draw``, or ConfigError when that initial factor would
-    overflow. The check scales only the draw's largest magnitude, so it
-    allocates nothing."""
-    if not math.isfinite(alpha * max(float(draw.max()), -float(draw.min()))):
-        raise ConfigError(f"invalid value for 'init.alpha': {alpha!r} overflows the initial "
-                          f"factor drawn with seed {seed}")
-    return alpha * draw
+def _draws(config: ExperimentConfig, seed: int) -> tuple:
+    """The unscaled initial factors of a run drawn with ``seed``."""
+    d, r = config.dim, config.rank
+    if config.kind == "asym":
+        return initialization.gaussian_pair(d, d, r, seed)
+    return (initialization.gaussian_factor(d, r, seed),)
+
+
+def _check_alphas(config: ExperimentConfig, jobs):
+    """Raise ConfigError, before any run writes a file, when a job's alpha
+    would overflow its initial factor. Each (seed, alpha) is drawn once and
+    the draws are dropped, so the check holds no factor beyond one job's;
+    only the draw's largest magnitude is scaled."""
+    for seed, alpha in dict.fromkeys((seed, params["alpha"]) for _, _, seed, params in jobs):
+        for draw in _draws(config, seed):
+            if not math.isfinite(alpha * max(float(draw.max()), -float(draw.min()))):
+                raise ConfigError(f"invalid value for 'init.alpha': {alpha!r} overflows the initial "
+                                  f"factor drawn with seed {seed}")
 
 
 def _solve(config: ExperimentConfig, target, seed: int, params: dict) -> engine.Trace:
-    d, r, alpha = config.dim, config.rank, params["alpha"]
+    """One run from ``alpha`` times its draws; ``_check_alphas`` has
+    checked that the product is finite."""
+    alpha = params["alpha"]
+    state0 = [alpha * draw for draw in _draws(config, seed)]
     solver_cfg = engine.SolverConfig(config.eta, config.epsilon, config.max_iters, config.record_every)
     if config.kind == "sym":
-        x0 = _scaled(alpha, initialization.gaussian_factor(d, r, seed), seed)
-        return sym_gd.run(sym_gd.FactorState(x0), target, solver_cfg)
+        return sym_gd.run(sym_gd.FactorState(*state0), target, solver_cfg)
     if config.kind == "asym":
-        n0, n1 = initialization.gaussian_pair(d, d, r, seed)
-        state0 = asym_gd.AsymState(_scaled(alpha, n0, seed), _scaled(alpha, n1, seed))
-        return asym_gd.run_asym(state0, target, solver_cfg, regularized=params["regularized"])
-    l0 = _scaled(alpha, initialization.gaussian_factor(d, r, seed), seed)
-    return eigenspace.run_eig(eigenspace.EigState(l0), target, solver_cfg, method=params["method"])
+        return asym_gd.run_asym(asym_gd.AsymState(*state0), target, solver_cfg,
+                                regularized=params["regularized"])
+    return eigenspace.run_eig(eigenspace.EigState(*state0), target, solver_cfg, method=params["method"])
 
 
 def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> RunResult:
@@ -382,7 +392,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
     seed_base = config.seed if seed_override is None else int(seed_override)
     target = spectrum.make_diagonal_target(config.values, config.dim, config.rank)
 
-    runs = [_execute(config, target, job, out) for job in _build_jobs(config, target, seed_base)]
+    jobs = _build_jobs(config, target, seed_base)
+    _check_alphas(config, jobs)
+    runs = [_execute(config, target, job, out) for job in jobs]
     csv_paths = [res.csv_path for res in runs]
     diverged_any = any(res.diverged for res in runs)
 

@@ -1,8 +1,8 @@
 """Dense matrix kernels shared by every solver module.
 
 All routines operate on plain 2-D float64 numpy arrays. Apart from
-``descent_update``, the solvers' in-place step kernel, they are pure
-functions of their inputs. Decompositions are delegated to LAPACK via
+``descent_update``, the two-factor solver's in-place step kernel, they are
+pure functions of their inputs. Decompositions are delegated to LAPACK via
 numpy; the wrappers pin down validation, ordering conventions, and the
 error behaviour the solvers rely on.
 """
@@ -25,13 +25,16 @@ SPD_MIN_EIG = 1e-12
 # ones (2-vCPU Xeon VM).
 BUFFER_ALIGN = 64
 
-# Bytes of factor rows ``descent_update`` multiplies at once: the product
-# of one row block stays in L2 until the subtract reads it back, instead
-# of making a round trip through a d x r scratch. perfbench sym-solve
-# (d=20000, r=10; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS 0.3.31),
-# median solve_ms.p50 over 4 alternating rounds: unblocked 402, 256 KiB
-# 343, 320 KiB 344, 640 KiB 365. In-process, 128 KiB blocks ran slower
-# than none: each block is one more small threaded BLAS call.
+# Bytes of factor rows a step kernel forms in its scratch at once: the
+# product of one row block stays in L2 until the update reads it back,
+# instead of making a round trip through a d x r scratch. The two-factor
+# step forms x M so (``descent_update``); the symmetric and eigenspace
+# steps form the head of Sigma's split so (``spectrum.Sigma.floor_step``).
+# Sized when the symmetric step still used ``descent_update``, with perfbench
+# sym-solve (d=20000, r=10; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS
+# 0.3.31), median solve_ms.p50 over 4 alternating rounds: unblocked 402,
+# 256 KiB 343, 320 KiB 344, 640 KiB 365. In-process, 128 KiB blocks ran
+# slower than none: each block is one more small threaded BLAS call.
 BLOCK_BYTES = 320 * 1024
 
 
@@ -81,17 +84,17 @@ def singular_values(m) -> np.ndarray:
 
 
 def block_rows(d: int, r: int) -> int:
-    """Rows per block of ``descent_update`` for a d x r factor: all d when
+    """Rows of the step kernels' scratch for a d x r factor: all d when
     they fit, else the most rows, a multiple of 8, whose float64 entries
     fit ``BLOCK_BYTES`` (at least 8)."""
     return min(d, max(8, BLOCK_BYTES // (8 * r) // 8 * 8))
 
 
 def block_scratch(x) -> np.ndarray:
-    """The scratch ``descent_update`` takes for ``x``, as ``step_buffers``
+    """The scratch the step kernels take for ``x``, as ``step_buffers``
     sizes it: ``block_rows`` rows in x's memory order, so a factor that fits
     one block gets a buffer shaped like x. The solvers' single steps use it,
-    so a run equals repeated steps bit for bit."""
+    so they take the same blocks as a run and equal it bit for bit."""
     return np.empty_like(x[:block_rows(*x.shape)])
 
 
@@ -99,9 +102,12 @@ def step_buffers(x, order: str) -> list:
     """A run's three float64 buffers per factor in memory order ``order``,
     each starting on a ``BUFFER_ALIGN``-byte boundary: a copy of ``x`` (the
     first iterate), the uninitialized spare shaped like x, and the
-    uninitialized one-block scratch of ``descent_update``, ``block_rows``
+    uninitialized one-block scratch of the step kernels, ``block_rows``
     rows. A factor that fits one block gets three equal buffers; a larger
-    one saves a d x r buffer (1.6 MB at d=20000, r=10)."""
+    one saves a d x r buffer (1.6 MB at d=20000, r=10). The symmetric and
+    eigenspace steps write the next iterate straight into the spare, and
+    use the scratch only for the head of Sigma's split; the two-factor step
+    forms x M in it."""
     x = np.asarray(x, dtype=np.float64)
     d, r = x.shape
     shapes = (d, r), (d, r), (block_rows(d, r), r)
@@ -122,12 +128,15 @@ def descent_update(base: np.ndarray, x: np.ndarray, m: np.ndarray, scratch: np.n
     (``block_rows`` rows, from ``step_buffers`` or ``block_scratch``) takes
     it in row blocks of its height, so each block's product is read back
     from L2, not memory. Runs and single steps take the same blocks, so
-    they match bit for bit on any BLAS; on OpenBLAS 0.3.31 the blocks also
-    keep the bits of the whole product at every r <= 16 (some row-major
-    products at larger r differ in the last bits). The updates of all three
-    solvers are this kernel, with ``base`` = x + eta Sigma v and the r x r
-    ``m`` folding in the step size, the Gram and (for the two factors) the
-    balancing term."""
+    they match bit for bit on any BLAS; on OpenBLAS 0.3.31 with its
+    SkylakeX kernel the blocks also keep the bits of the whole product at
+    every r <= 16 (some row-major products at larger r differ in the last
+    bits; other kernels differ more often). The two-factor update is this
+    kernel, with ``base`` = x + eta Sigma y and the r x r ``m`` folding in
+    the step size, the Gram and the balancing term. Its Sigma term
+    multiplies the other factor, so unlike the symmetric and eigenspace
+    steps (``spectrum.Sigma.floor_step``) it cannot fold Sigma's floor into
+    a right factor of x."""
     d, rows = x.shape[0], scratch.shape[0]
     if rows == d:
         np.matmul(x, m, out=scratch)

@@ -97,7 +97,10 @@ class Sigma:
     singular values) the diagonal path also needs descending non-negative
     entries, so that the diagonal is its own SVD: a Target with a negative
     eigenvalue is then dense, and an array is diagonal when it is a square
-    diagonal matrix with such entries.
+    diagonal matrix with such entries. The symmetric and eigenspace steps
+    see the operator as a flat floor plus a head, mu I + R (``split``), so
+    each step is one matmul of the factor plus a product on the head's rows
+    (``floor_step``); the two-factor step adds ``ascent``.
     """
 
     def __init__(self, source, svd: bool = False):
@@ -126,13 +129,14 @@ class Sigma:
     def factor_order(self) -> str:
         """Memory order of every solver's factor buffers: the symmetric and
         two-factor iterates and the eigenspace frames, in runs and in the
-        eigenspace single steps. "F" for a diagonal operator: its
-        elementwise product then runs down contiguous columns, not r-element
-        rows (1.8x faster at d=20000, r=10). The symmetric and two-factor
-        products give the same bits as on row-major factors; the eigenspace
-        Gram L^T Sigma L rounds differently (the shipped projection errors
-        moved by up to 6.3e-11). "C" for a dense one, whose products would
-        round differently on "F"."""
+        eigenspace single steps. "F" for a diagonal operator: its elementwise
+        products (the two-factor ascent, and the head of a spectrum without a
+        flat floor) then run down contiguous columns, not r-element rows
+        (1.8x faster at d=20000, r=10), and the step's v K matmul took
+        126-141 us there against 223 us on "C". The eigenspace Gram rounds
+        differently on "F" (the shipped projection errors moved by up to
+        6.3e-11). "C" for a dense one, whose products would round
+        differently on "F"."""
         return "F" if self.diag is not None else "C"
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -147,20 +151,84 @@ class Sigma:
             return np.multiply(self.diag[:, None], v, out=out)
         return np.matmul(self.matrix.T, v, out=out)
 
-    def shifted(self, eta: float):
-        """The map ``(v, out) -> v + eta * Sigma v`` into ``out``: the base of
-        the symmetric step. A diagonal Sigma forms the column 1 + eta * diag
-        here, once per run, so the map is one multiply."""
+    def split(self):
+        """Sigma as mu I + R, returned as ``(mu, s, R)``: R is nonzero only
+        on its leading ``s`` rows. A diagonal operator's mu is its last
+        (smallest) entry, s counts the entries before the trailing run equal
+        to mu, and R is given as those s entries minus mu; a spiked spectrum
+        (r values over a flat noise floor) has s = r. A dense operator has
+        mu = 0, s = d and R = ``matrix``."""
+        if self.diag is None:
+            return 0.0, self.shape[0], self.matrix
+        mu = float(self.diag[-1])
+        s = int(np.count_nonzero(self.diag != mu))
+        return mu, s, self.diag[:s] - mu
+
+    def floor_step(self, eta: float, rank: int):
+        """The symmetric and eigenspace update for step size ``eta`` on d x
+        ``rank`` factors, built once per run from ``split``: the map ``(v,
+        gram, out, scratch, sandwich=False) -> out`` that writes
+        (I + eta Sigma) v - v M into ``out`` and returns it. M is eta ``gram``
+        (the symmetric step, gram = X^T X); with ``sandwich`` it is
+        eta v^T Sigma v = eta mu ``gram`` + v^T (eta R) v (the eigenspace
+        step, gram = L^T L). Since the rows past s of I + eta Sigma are the
+        scalar 1 + eta mu, the update is one matmul,
+        v ((1 + eta mu) I - M) into ``out``, plus eta R v added to the
+        leading s rows. That product is formed in row blocks of the
+        scratch's height, so no step allocates a d x r array: once for both
+        uses when s fits one block (every spiked spectrum), else once per
+        use, with each block's rows of the matmul formed while the block
+        sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric step
+        335 us against 393 us for the earlier x + eta Sigma x - x M, and
+        eigenspace 581 against 987)."""
+        mu, s, rest = self.split()
+        scale = (1.0 + eta * mu) * np.eye(rank)
         if self.diag is not None:
-            col = (1.0 + eta * self.diag)[:, None]
-            return lambda v, out: np.multiply(col, v, out=out)
-        ascent = self.ascent(eta)
-        return lambda v, out: ascent(v, v, out)
+            col = (eta * rest)[:, None]
+
+            def head(v, start, stop, out):
+                return np.multiply(col[start:stop], v[start:stop], out=out)
+        else:
+            def head(v, start, stop, out):
+                return np.multiply(eta, np.matmul(rest[start:stop], v, out=out), out=out)
+
+        def blocks(v, scratch):
+            rows = scratch.shape[0]
+            for start in range(0, s, rows):
+                stop = min(start + rows, s)
+                yield start, stop, head(v, start, stop, scratch[:stop - start])
+
+        def step(v, gram, out, scratch, sandwich=False):
+            m = (eta * mu if sandwich else eta) * gram
+            if s <= scratch.shape[0]:
+                # The head fits one block: formed once, for the Gram and the
+                # update, around one matmul over every row.
+                block = head(v, 0, s, scratch[:s])
+                if sandwich:
+                    m += v[:s].T @ block
+                np.matmul(v, np.subtract(scale, m, out=m), out=out)
+                top = out[:s]
+                np.add(top, block, out=top)
+                return out
+            if sandwich:
+                m += sum(v[start:stop].T @ block for start, stop, block in blocks(v, scratch))
+            k = np.subtract(scale, m, out=m)
+            # Each head block's rows of the matmul are formed next to the
+            # block's product, while both sit in L2; the floor rows at once.
+            np.matmul(v[s:], k, out=out[s:])
+            for start, stop, block in blocks(v, scratch):
+                np.matmul(v[start:stop], k, out=out[start:stop])
+                np.add(out[start:stop], block, out=out[start:stop])
+            return out
+
+        return step
 
     def ascent(self, eta: float, transpose: bool = False):
         """The map ``(v, base, out) -> base + eta * Sigma v`` (``Sigma^T v``
-        with ``transpose``) into ``out``: the base of the two-factor step. A
-        diagonal Sigma forms the column eta * diag here, once per run."""
+        with ``transpose``) into ``out``: the base of the two-factor step,
+        whose Sigma term multiplies the other factor, so no floor folds into
+        its product. A diagonal Sigma forms the column eta * diag here, once
+        per run."""
         if self.diag is not None:
             col = (eta * self.diag)[:, None]
             return lambda v, base, out: np.add(base, np.multiply(col, v, out=out), out=out)

@@ -67,18 +67,12 @@ def gd_step(state: FactorState, target, eta: float) -> FactorState:
         raise ValueError(f"eta must be positive, got {eta}")
     op = Sigma(target)
     op.check_shape(state.dim)
-    x = state.x
-    # A Target's Gram comes from the error's blocks, as in ``run``, so a run
-    # equals repeated steps bit for bit; an array has no known eigenbasis.
+    x = np.asarray(state.x, order=op.factor_order)
+    # The step runs in ``Sigma.factor_order`` and a Target's Gram comes from
+    # the error's blocks, as in ``run``, so a run equals repeated steps bit
+    # for bit; an array has no known eigenbasis.
     gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
-    return FactorState(_step(op.shifted(eta), x, gram, eta, np.empty_like(x), linalg.block_scratch(x)))
-
-
-def _step(shift, x: np.ndarray, gram: np.ndarray, eta: float, out: np.ndarray,
-          scratch: np.ndarray) -> np.ndarray:
-    """(x + eta Sigma x) - x (eta X^T X) written into ``out``; ``shift`` is
-    the run's ``Sigma.shifted(eta)``."""
-    return linalg.descent_update(shift(x, out), x, eta * gram, scratch)
+    return FactorState(op.floor_step(eta, state.rank)(x, gram, np.empty_like(x), linalg.block_scratch(x)))
 
 
 def _gram(blocks) -> np.ndarray:
@@ -231,7 +225,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     op.check_shape(state0.dim)
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
-    shift = op.shifted(eta)
+    step = op.floor_step(eta, state0.rank)
     x0, spare, scratch = linalg.step_buffers(state0.x, op.factor_order)
 
     def measure(x):
@@ -247,5 +241,5 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
             values = (math.nan,) * 5 + (False, False)
         return TraceRecord(t, err, *values)
 
-    return iterate(x0, spare, lambda x, blocks, out: _step(shift, x, _gram(blocks), eta, out, scratch),
+    return iterate(x0, spare, lambda x, blocks, out: step(x, _gram(blocks), out, scratch),
                    measure, record, config, FactorState)

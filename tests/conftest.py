@@ -22,11 +22,19 @@ from lowrank_gd import linalg
 from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
 
 
-def multi_block_target(tail, r=10):
-    """A diagonal target whose d x r factors fill two row blocks of the
-    shared step kernel, ``linalg.descent_update``, plus ``tail`` rows."""
-    d = 2 * linalg.block_rows(10**9, r) + tail
-    return make_diagonal_target(np.concatenate([np.linspace(3.0, 2.0, r), np.linspace(1.0, 0.5, d - r)]), d, r)
+def floor_target(d, flat, r=10):
+    """A diagonal target: r values from 3 down to 2 over a flat floor of 0.5
+    (``flat``; ``Sigma.split`` then has s = r) or over a tail falling from 1
+    to 0.5 (s = d - 1)."""
+    tail = np.full(d - r, 0.5) if flat else np.linspace(1.0, 0.5, d - r)
+    return make_diagonal_target(np.concatenate([np.linspace(3.0, 2.0, r), tail]), d, r)
+
+
+def multi_block_target(tail, r=10, flat=False):
+    """A ``floor_target`` whose d x r factors fill two row blocks of the
+    step kernels' one-block scratch (``linalg.block_rows``), plus ``tail``
+    rows."""
+    return floor_target(2 * linalg.block_rows(10**9, r) + tail, flat, r)
 
 
 def random_orthogonal(rng, n):

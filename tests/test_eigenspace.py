@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import multi_block_target, random_orthogonal, random_psd_target
+from conftest import floor_target, multi_block_target, random_orthogonal, random_psd_target
 from lowrank_gd import (
     DivergenceError,
     EigState,
@@ -227,6 +227,26 @@ def test_run_above_one_block_matches_repeated_steps(method, tail):
     manual = EigState(gaussian_factor(target.dim, target.rank, seed=2))
     trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=20), method=method)
     assert trace.iterations == 20
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = STEPS[method](manual, target, 0.05)
+        frame = retract(manual.l) if method == "rgd" else manual.l
+        assert rec.iter == t and rec.proj_error == err_fn(frame)[0]
+    np.testing.assert_array_equal(trace.final_state.l, frame)
+
+
+@pytest.mark.parametrize("method", ["retraction_free", "rgd"])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "sloped"])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_run_matches_repeated_steps_over_either_floor(blocks, flat, method):
+    # The Gram mu L^T L + L^T (R L) and the head's product: kept in the
+    # scratch between the two when the head fits one block, formed twice in
+    # blocks when it does not. Either way the run has the steps' bits.
+    target = multi_block_target(2000, flat=flat) if blocks == 3 else floor_target(60, flat)
+    err_fn = _proj_error_fn(target)
+    manual = EigState(gaussian_factor(target.dim, target.rank, seed=6))
+    trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=15), method=method)
+    assert trace.iterations == 15
     for t, rec in enumerate(trace.records):
         if t:
             manual = STEPS[method](manual, target, 0.05)

@@ -59,30 +59,33 @@ def test_iterate_steps_in_two_buffers_that_trade_places():
 @pytest.mark.parametrize("solver", ["sym", "asym", "retraction_free"])
 def test_runs_allocate_no_factor_sized_array_per_step(solver):
     # Peak traced memory of a whole run: the iterate and its spare (per
-    # factor), one row block of the step kernel's scratch (per factor), the
-    # diagonal's d-length columns, and a quarter factor of slack. One d x r
-    # temporary per step, or a d x r scratch, would exceed it.
+    # factor), one row block of the step kernels' scratch (per factor), the
+    # d-length columns a run forms once, and a quarter factor of slack. One
+    # d x r temporary per step, or a d x r scratch, would exceed it. Over a
+    # flat floor the symmetric and eigenspace steps form no d-length column;
+    # over a sloped tail they form one for the head of Sigma's split, which
+    # then spans d - 1 rows and five row blocks.
     d, r = 20000, 4
-    values = np.concatenate([np.linspace(3.0, 2.0, r), np.full(d - r, 0.5)])
-    target = lg.make_diagonal_target(values, d, r)
     cfg = SolverConfig(eta=0.05, epsilon=1e-14, max_iters=20, record_every=1000)
     x0, y0 = 0.1 * lg.gaussian_factor(d, r, 1), 0.1 * lg.gaussian_factor(d, r, 2)
-    run, factors, columns = {
-        "sym": (lambda: lg.run(lg.FactorState(x0), target, cfg), 1, 1),
-        "asym": (lambda: lg.run_asym(lg.AsymState(x0, y0), target, cfg), 2, 2),
-        "retraction_free": (lambda: lg.run_eig(lg.EigState(x0), target, cfg), 1, 0),
-    }[solver]
-    tracemalloc.start()
-    try:
-        trace = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trace.iterations == 20
     factor, block = x0.nbytes, linalg.block_rows(d, r) * r * 8
     assert block < 0.6 * factor
-    assert peak < (2 * factors + 0.25) * factor + factors * block + columns * d * 8
-
+    for tail in (np.full(d - r, 0.5), np.linspace(1.0, 0.5, d - r)):
+        target = lg.make_diagonal_target(np.concatenate([np.linspace(3.0, 2.0, r), tail]), d, r)
+        flat = tail[0] == tail[-1]
+        run, factors, columns = {
+            "sym": (lambda: lg.run(lg.FactorState(x0), target, cfg), 1, 0 if flat else 1),
+            "asym": (lambda: lg.run_asym(lg.AsymState(x0, y0), target, cfg), 2, 2),
+            "retraction_free": (lambda: lg.run_eig(lg.EigState(x0), target, cfg), 1, 0 if flat else 1),
+        }[solver]
+        tracemalloc.start()
+        try:
+            trace = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 20
+        assert peak < (2 * factors + 0.25) * factor + factors * block + columns * d * 8
 
 
 @pytest.mark.parametrize("field, value", [

@@ -476,6 +476,16 @@ def test_cli_names_an_init_alpha_that_overflows_the_initial_factor(tmp_path, kin
     assert len(lines) == 1 and "1e+308" in lines[0] and "seed 3" in lines[0]
 
 
+def test_cli_checks_every_alpha_before_the_first_run_writes(tmp_path):
+    # Only the second alpha overflows its draw; the config fails by name
+    # before the first job writes its CSV, and no summary is written.
+    payload = dict(MINIMAL_SYM, init={"alpha": [0.5, 1e308], "seed": 3})
+    proc = _cli_subprocess(tmp_path, payload)
+    _assert_config_error(proc, "'init.alpha'")
+    out = tmp_path / "out"
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
 def test_cli_bench_takes_out_and_seed(tmp_path, capsys):
     payload = dict(MINIMAL_SYM, kind="bench", dim=6, rank=2, spectrum={"experiment": {"hi": 3, "lo": 2}},
                    eta=0.05, epsilon=1e-4, max_iters=2000, repeats=2, out_dir=str(tmp_path / "unused"))

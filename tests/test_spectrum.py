@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal
+from conftest import floor_target, random_orthogonal
 from lowrank_gd import Sigma, best_rank_r, experiment_spectrum, make_diagonal_target, make_target
 
 
@@ -162,6 +162,70 @@ def test_sigma_path_choice():
     assert Sigma(np.diag([3.0, 2.0, 1.0])).diag is None
     assert Sigma(np.diag([1.0, 2.0, 3.0]), svd=True).diag is None
     assert Sigma(np.ones((3, 3)), svd=True).diag is None
+
+
+@pytest.mark.parametrize("values, rank, mu, s", [
+    ([4.0, 3.0, 1.0, 1.0, 1.0], 2, 1.0, 2),
+    ([4.0, 3.0, 2.0, 1.5, 1.0], 2, 1.0, 4),
+    ([5.0, 3.0, 3.0, 2.0, 1.0, 1.0], 1, 1.0, 4),
+], ids=["flat-tail", "strictly-decreasing", "repeated-mid-value"])
+def test_sigma_split_of_a_diagonal(values, rank, mu, s):
+    # mu is the last entry and the head stops where the trailing run of mu
+    # starts: at r over a flat tail, at d - 1 on a strictly decreasing
+    # spectrum (R's last entry would be 0), and past a repeated value that
+    # sits above the floor.
+    got_mu, got_s, rest = Sigma(make_diagonal_target(values, len(values), rank)).split()
+    assert (got_mu, got_s) == (mu, s)
+    np.testing.assert_array_equal(rest, np.array(values[:s]) - mu)
+    assert np.all(rest > 0)
+
+
+def test_sigma_split_of_a_dense_operator(rng):
+    target = make_target([3.0, 2.0, 1.0, 1.0], 2, basis=random_orthogonal(rng, 4))
+    mu, s, rest = Sigma(target).split()
+    assert (mu, s) == (0.0, 4) and rest is target.matrix
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("sandwich", [False, True], ids=["sym", "eig"])
+def test_floor_step_matches_the_dense_update(rng, order, sandwich):
+    # (I + eta Sigma) v - eta v G with G = gram, or G = v^T Sigma v for the
+    # eigenspace; with a scratch of the factor's height and one of 3 rows,
+    # which takes the head in several blocks (the last one partial).
+    d, r, eta = 11, 2, 0.1
+    targets = [floor_target(d, True, r), floor_target(d, False, r),
+               make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d))]
+    for target in targets:
+        v = np.asarray(rng.normal(size=(d, r)), order=order)
+        sigma = target.matrix
+        gram = v.T @ v
+        m = eta * (v.T @ sigma @ v if sandwich else gram)
+        want = v + eta * sigma @ v - v @ m
+        step = Sigma(target).floor_step(eta, r)
+        for rows in (d, 3):
+            out = step(v, gram, np.empty_like(v), np.empty_like(v[:rows]), sandwich=sandwich)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("sandwich", [False, True], ids=["sym", "eig"])
+def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
+    # Over a flat floor the rows past the head get no pass of their own:
+    # one matmul over all d rows, every other call on the r head rows or r x r.
+    d, r = 5000, 4
+    op = Sigma(floor_target(d, True, r))
+    step = op.floor_step(0.05, r)
+    v = np.asarray(rng.normal(size=(d, r)), order=op.factor_order)
+    gram, out, scratch = v.T @ v, np.empty_like(v), np.empty_like(v)
+    calls = []
+    for name in ("matmul", "multiply", "add", "subtract"):
+        def counted(*args, _f=getattr(np, name), _name=name, **kwargs):
+            arrays = [a for a in (*args, kwargs.get("out")) if isinstance(a, np.ndarray)]
+            calls.append((_name, max(a.shape[0] for a in arrays)))
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    step(v, gram, out, scratch, sandwich=sandwich)
+    assert [name for name, rows in calls if rows == d] == ["matmul"]
+    assert all(rows <= r for name, rows in calls if rows != d)
 
 
 def test_sigma_to_eigen(rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multi_block_target, random_orthogonal, random_psd_target, sample_state_in_region, scaled_random_state
+from conftest import floor_target, multi_block_target, random_orthogonal, random_psd_target, sample_state_in_region, scaled_random_state
 from lowrank_gd import (
     DivergenceError,
     FactorState,
@@ -234,6 +234,23 @@ def test_run_above_one_block_matches_repeated_gd_step(tail):
     manual = FactorState(0.5 * gaussian_factor(target.dim, target.rank, seed=4))
     trace = run(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=20))
     assert trace.iterations == 20
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = gd_step(manual, target, 0.05)
+        assert rec.iter == t and rec.error == approximation_error(manual, target)
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "sloped"])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_run_matches_repeated_gd_step_over_either_floor(blocks, flat):
+    # Over a flat floor the head of Sigma's split is the r leading rows; over
+    # a sloped tail it is every row but the last, and at three blocks its
+    # product spans all of them. Either way the run has gd_step's bits.
+    target = multi_block_target(2000, flat=flat) if blocks == 3 else floor_target(60, flat)
+    manual = FactorState(0.5 * gaussian_factor(target.dim, target.rank, seed=6))
+    trace = run(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=15))
+    assert trace.iterations == 15
     for t, rec in enumerate(trace.records):
         if t:
             manual = gd_step(manual, target, 0.05)
