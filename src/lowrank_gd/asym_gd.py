@@ -6,7 +6,9 @@ the factor sum and difference into one tall factor driven by the
 symmetric update on a block-diagonal matrix, which serves both as a
 per-step correctness oracle and as the bridge to the symmetric theory.
 
-Sigma (a Target or an array) is applied through ``spectrum.Sigma``, and
+Sigma (a Target or an array) is applied through ``spectrum.Sigma``. The
+two factors step side by side in one buffer [X | Y], so each step is one
+matmul of that buffer plus Sigma's head (``Sigma.pair_step``), and
 ``run_asym`` is a thin caller of the shared ``engine.iterate``.
 """
 
@@ -63,34 +65,18 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
         X' = X + eta (Sigma - X Y^T) Y - (eta/2) X (X^T X - Y^T Y)
         Y' = Y + eta (Sigma - X Y^T)^T X + (eta/2) Y (X^T X - Y^T Y)
     The unregularized variant drops the (eta/2) terms. ``sigma`` is a
-    Target or an array. The Grams are formed as in ``run_asym``, so a run
-    equals repeated steps bit for bit.
+    Target or an array. The step is ``Sigma.pair_step`` on the joint
+    iterate [X | Y] from ``linalg.step_buffers``, with the Grams formed as
+    the error closure forms them, as in ``run_asym``, so a run equals
+    repeated steps bit for bit.
     """
     op = Sigma(sigma, svd=True)
-    op.check_shape(state.x.shape[0], state.y.shape[0])
-    x, y = state.x, state.y
-    grams = _grams(op, state.rank, x, y)
-    out = np.empty_like(x), np.empty_like(y)
-    scratch = linalg.block_scratch(x), linalg.block_scratch(y)
-    ascents = op.ascent(eta), op.ascent(eta, transpose=True)
-    return AsymState(*_step(ascents, x, y, *grams, eta, regularized, out, scratch))
-
-
-def _step(ascents, x, y, gram_x, gram_y, eta: float, regularized: bool, out, scratch):
-    """The update of ``asym_step`` written into the pair ``out``, with the
-    products held in the pair ``scratch``; ``ascents`` holds the run's
-    ``Sigma.ascent(eta)`` and its transpose. The balancing term is r x r, so
-    it folds into each factor's multiplier:
-    M_x = eta G_y + (eta/2)(G_x - G_y) and M_y = eta G_x - (eta/2)(G_x - G_y)."""
-    m_x, m_y = eta * gram_y, eta * gram_x
-    if regularized:
-        half = (0.5 * eta) * (gram_x - gram_y)
-        m_x += half
-        m_y -= half
-    (ascent, ascent_t), (x_next, y_next), (sx, sy) = ascents, out, scratch
-    linalg.descent_update(ascent(y, x, x_next), x, m_x, sx)
-    linalg.descent_update(ascent_t(x, y, y_next), y, m_y, sy)
-    return out
+    d1, d2, r = state.x.shape[0], state.y.shape[0], state.rank
+    op.check_shape(d1, d2)
+    step = op.pair_step(eta, r, regularized)
+    z, out, scratch = linalg.step_buffers(state.x, op.factor_order, state.y)
+    step(z, *_grams(op, r, z[:d1, :r], z[:d2, r:]), out, scratch)
+    return AsymState(out[:d1, :r], out[:d2, r:])
 
 
 def lift(state: AsymState, sigma=None) -> LiftedState:
@@ -136,12 +122,20 @@ def _grams(op: Sigma, r: int, x: np.ndarray, y: np.ndarray):
     return gux + gjx, guy + gjy
 
 
+def _balanced(gram_x: np.ndarray, gram_y: np.ndarray):
+    """The Grams and the balance gap ||X^T X - Y^T Y||_F they give."""
+    gap = gram_x - gram_y
+    return gram_x, gram_y, math.sqrt(np.vdot(gap, gap))
+
+
 def _error_fn(op: Sigma, r: int):
     """Closure for ||Sigma_r - X Y^T||_F with Sigma_r the rank-r SVD
-    truncation. It returns the error and the Grams ``(X^T X, Y^T Y)`` for
-    the step and the balance. A diagonal operator (its own SVD) uses a
-    block identity that avoids forming d1 x d2 matrices per call, and sums
-    each Gram from the blocks it forms (see ``_grams``)."""
+    truncation, called on the two factors (the halves of a run's joint
+    iterate). It returns the error and ``(X^T X, Y^T Y, balance gap)`` for
+    the step, the guard and the record. A diagonal operator (its own SVD)
+    uses a block identity that avoids forming d1 x d2 matrices per call:
+    the squared error is four r x r inner products, and each Gram is
+    summed from the blocks it forms (see ``_grams``)."""
     if r < 1 or r > min(op.shape):
         raise ValueError(f"rank {r} out of range for sigma of shape {op.shape}")
     if op.diag is not None:
@@ -150,13 +144,8 @@ def _error_fn(op: Sigma, r: int):
         def err(x: np.ndarray, y: np.ndarray):
             (gux, gjx), (guy, gjy) = _block_grams(x, r), _block_grams(y, r)
             top = s_r - x[:r] @ y[:r].T
-            sq = (
-                float(np.sum(top * top))
-                + float(np.sum(gux * gjy))
-                + float(np.sum(gjx * guy))
-                + float(np.sum(gjx * gjy))
-            )
-            return math.sqrt(max(sq, 0.0)), (gux + gjx, guy + gjy)
+            sq = float(np.vdot(top, top) + np.vdot(gux, gjy) + np.vdot(gjx, guy) + np.vdot(gjx, gjy))
+            return math.sqrt(max(sq, 0.0)), _balanced(gux + gjx, guy + gjy)
 
         return err
 
@@ -164,7 +153,7 @@ def _error_fn(op: Sigma, r: int):
     sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
 
     def err(x: np.ndarray, y: np.ndarray):
-        return float(np.linalg.norm(sigma_r - x @ y.T, "fro")), _grams(op, r, x, y)
+        return float(np.linalg.norm(sigma_r - x @ y.T, "fro")), _balanced(*_grams(op, r, x, y))
 
     return err
 
@@ -184,29 +173,30 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     ``sigma`` is a Target or an array. Records (iteration, error, balance)
     at the configured cadence plus the first and last iterations. Steps
     write into buffers of the run's own, so ``state0`` is never modified;
-    the trace's ``final_state`` holds the last of them. Raises
+    the trace's ``final_state`` holds views of the real rows of the last
+    of them. Both factors live in one buffer, [X | Y] (see
+    ``Sigma.pair_step``), so each step is one matmul of that buffer. Raises
     DivergenceError, carrying the trace so far, if either factor norm hits
     the divergence guard.
     """
     op = Sigma(sigma, svd=True)
-    op.check_shape(state0.x.shape[0], state0.y.shape[0])
-    err_fn = _error_fn(op, state0.rank)
-    eta, epsilon = config.eta, config.epsilon
-    ascents = op.ascent(eta), op.ascent(eta, transpose=True)
-    xy0, spare, scratch = zip(linalg.step_buffers(state0.x, op.factor_order),
-                              linalg.step_buffers(state0.y, op.factor_order))
+    d1, d2, r = state0.x.shape[0], state0.y.shape[0], state0.rank
+    op.check_shape(d1, d2)
+    err_fn = _error_fn(op, r)
+    epsilon = config.epsilon
+    step = op.pair_step(config.eta, r, regularized)
+    z0, spare, scratch = linalg.step_buffers(state0.x, op.factor_order, state0.y)
 
-    def measure(xy):
-        x, y = xy
-        err, grams = err_fn(x, y)
+    def measure(z):
+        err, aux = err_fn(z[:d1, :r], z[:d2, r:])
+        gram_x, gram_y, balance = aux
         # np.maximum, unlike max, carries a NaN in either trace to the guard.
-        norm = math.sqrt(np.maximum(np.trace(grams[0]), np.trace(grams[1])))
-        balance = float(np.linalg.norm(grams[0] - grams[1], "fro"))
+        norm = math.sqrt(np.maximum(np.trace(gram_x), np.trace(gram_y)))
         done = err <= epsilon and (not regularized or balance <= epsilon)
-        return xy, norm, err, done, (grams, balance)
+        return z, norm, err, done, aux
 
     return iterate(
-        xy0, spare,
-        lambda xy, aux, out: _step(ascents, *xy, *aux[0], eta, regularized, out, scratch), measure,
-        lambda t, xy, err, aux: AsymRecord(t, err, aux[1]), config, lambda xy: AsymState(*xy),
+        z0, spare, lambda z, aux, out: step(z, aux[0], aux[1], out, scratch), measure,
+        lambda t, z, err, aux: AsymRecord(t, err, aux[2]), config,
+        lambda z: AsymState(z[:d1, :r], z[:d2, r:]),
     )

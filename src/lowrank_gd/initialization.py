@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Target
+from .spectrum import Target, check_eta
 from .sym_gd import FactorState, block_values, eigen_blocks
 
 
@@ -41,8 +41,7 @@ def kappa(target: Target, eta: float) -> float:
     log(1 + eta * max(0, lambda_{r+1})) / log(1 + eta * (lambda_r - gap/2)),
     with the numerator clamped at zero for indefinite tails.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_eta(eta)
     denom_rate = target.lambda_r - target.gap / 2.0
     if denom_rate <= 0:
         raise ValueError("signal growth rate is degenerate: lambda_r - gap/2 <= 0")

@@ -1,10 +1,10 @@
 """Dense matrix kernels shared by every solver module.
 
-All routines operate on plain 2-D float64 numpy arrays. Apart from
-``descent_update``, the two-factor solver's in-place step kernel, they are
-pure functions of their inputs. Decompositions are delegated to LAPACK via
-numpy; the wrappers pin down validation, ordering conventions, and the
-error behaviour the solvers rely on.
+All routines operate on plain 2-D float64 numpy arrays and are pure
+functions of their inputs; the step kernels that write into the step
+buffers are built by ``spectrum.Sigma``. Decompositions are delegated to
+LAPACK via numpy; the wrappers pin down validation, ordering conventions,
+and the error behaviour the solvers rely on.
 """
 
 import numpy as np
@@ -25,16 +25,16 @@ SPD_MIN_EIG = 1e-12
 # ones (2-vCPU Xeon VM).
 BUFFER_ALIGN = 64
 
-# Bytes of factor rows a step kernel forms in its scratch at once: the
+# Bytes of iterate rows a step kernel forms in its scratch at once: the
 # product of one row block stays in L2 until the update reads it back,
-# instead of making a round trip through a d x r scratch. The two-factor
-# step forms x M so (``descent_update``); the symmetric and eigenspace
-# steps form the head of Sigma's split so (``spectrum.Sigma.floor_step``).
-# Sized when the symmetric step still used ``descent_update``, with perfbench
-# sym-solve (d=20000, r=10; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS
-# 0.3.31), median solve_ms.p50 over 4 alternating rounds: unblocked 402,
-# 256 KiB 343, 320 KiB 344, 640 KiB 365. In-process, 128 KiB blocks ran
-# slower than none: each block is one more small threaded BLAS call.
+# instead of making a round trip through a d x r scratch. Every step forms
+# the head of Sigma's split so (``spectrum.Sigma.floor_step`` and
+# ``pair_step``). Sized when the symmetric step still subtracted x M formed
+# in row blocks, with perfbench sym-solve (d=20000, r=10; 2-vCPU Xeon VM,
+# 2 MiB L2 per core, OpenBLAS 0.3.31), median solve_ms.p50 over 4
+# alternating rounds: unblocked 402, 256 KiB 343, 320 KiB 344, 640 KiB 365.
+# In-process, 128 KiB blocks ran slower than none: each block is one more
+# small threaded BLAS call.
 BLOCK_BYTES = 320 * 1024
 
 
@@ -84,71 +84,49 @@ def singular_values(m) -> np.ndarray:
 
 
 def block_rows(d: int, r: int) -> int:
-    """Rows of the step kernels' scratch for a d x r factor: all d when
+    """Rows of the step kernels' scratch for a d x r iterate: all d when
     they fit, else the most rows, a multiple of 8, whose float64 entries
     fit ``BLOCK_BYTES`` (at least 8)."""
     return min(d, max(8, BLOCK_BYTES // (8 * r) // 8 * 8))
 
 
 def block_scratch(x) -> np.ndarray:
-    """The scratch the step kernels take for ``x``, as ``step_buffers``
-    sizes it: ``block_rows`` rows in x's memory order, so a factor that fits
-    one block gets a buffer shaped like x. The solvers' single steps use it,
-    so they take the same blocks as a run and equal it bit for bit."""
+    """The scratch the step kernels take for the iterate ``x``, as
+    ``step_buffers`` sizes it: ``block_rows`` rows in x's memory order, so
+    an iterate that fits one block gets a buffer shaped like x. The
+    symmetric and eigenspace single steps use it, so they take the same
+    blocks as a run and equal it bit for bit."""
     return np.empty_like(x[:block_rows(*x.shape)])
 
 
-def step_buffers(x, order: str) -> list:
-    """A run's three float64 buffers per factor in memory order ``order``,
-    each starting on a ``BUFFER_ALIGN``-byte boundary: a copy of ``x`` (the
-    first iterate), the uninitialized spare shaped like x, and the
-    uninitialized one-block scratch of the step kernels, ``block_rows``
-    rows. A factor that fits one block gets three equal buffers; a larger
-    one saves a d x r buffer (1.6 MB at d=20000, r=10). The symmetric and
-    eigenspace steps write the next iterate straight into the spare, and
-    use the scratch only for the head of Sigma's split; the two-factor step
-    forms x M in it."""
-    x = np.asarray(x, dtype=np.float64)
-    d, r = x.shape
-    shapes = (d, r), (d, r), (block_rows(d, r), r)
+def step_buffers(x, order: str, y=None) -> list:
+    """A run's three float64 buffers in memory order ``order``, each
+    starting on a ``BUFFER_ALIGN``-byte boundary: the first iterate, the
+    uninitialized spare shaped like it, and the uninitialized one-block
+    scratch of the step kernels, ``block_rows`` rows. The iterate is a copy
+    of ``x``, or with ``y`` the two-factor iterate [x | y]: the factors side
+    by side, as many rows as the longer one, the shorter one's missing rows
+    zero. An iterate that fits one block gets three equal buffers; a larger
+    one saves a buffer of its size (1.6 MB for a d=20000, r=10 factor).
+    Every step writes the next iterate straight into the spare and uses the
+    scratch only for the head of Sigma's split. The two-factor single step
+    takes its buffers here too, so it forms a run's iterate and blocks and
+    equals a run bit for bit."""
+    parts = [np.asarray(p, dtype=np.float64) for p in ((x,) if y is None else (x, y))]
+    d, width = max(p.shape[0] for p in parts), sum(p.shape[1] for p in parts)
     buffers = []
-    for rows, cols in shapes:
-        size = rows * cols * 8
+    for rows in (d, d, block_rows(d, width)):
+        size = rows * width * 8
         raw = np.empty(size + BUFFER_ALIGN, dtype=np.uint8)
         start = -raw.ctypes.data % BUFFER_ALIGN
-        buffers.append(raw[start:start + size].view(np.float64).reshape((rows, cols), order=order))
-    buffers[0][...] = x
+        buffers.append(raw[start:start + size].view(np.float64).reshape((rows, width), order=order))
+    col = 0
+    for p in parts:
+        n, cols = p.shape
+        buffers[0][:n, col:col + cols] = p
+        buffers[0][n:, col:col + cols] = 0.0
+        col += cols
     return buffers
-
-
-def descent_update(base: np.ndarray, x: np.ndarray, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Overwrite ``base`` with base - x @ m and return it, forming x @ m in
-    ``scratch``; neither buffer may alias x. A scratch shaped like x takes
-    the product whole, in one matmul and one subtract. A shorter one
-    (``block_rows`` rows, from ``step_buffers`` or ``block_scratch``) takes
-    it in row blocks of its height, so each block's product is read back
-    from L2, not memory. Runs and single steps take the same blocks, so
-    they match bit for bit on any BLAS; on OpenBLAS 0.3.31 with its
-    SkylakeX kernel the blocks also keep the bits of the whole product at
-    every r <= 16 (some row-major products at larger r differ in the last
-    bits; other kernels differ more often). The two-factor update is this
-    kernel, with ``base`` = x + eta Sigma y and the r x r ``m`` folding in
-    the step size, the Gram and the balancing term. Its Sigma term
-    multiplies the other factor, so unlike the symmetric and eigenspace
-    steps (``spectrum.Sigma.floor_step``) it cannot fold Sigma's floor into
-    a right factor of x."""
-    d, rows = x.shape[0], scratch.shape[0]
-    if rows == d:
-        np.matmul(x, m, out=scratch)
-        return np.subtract(base, scratch, out=base)
-    for start in range(0, d, rows):
-        stop = min(start + rows, d)
-        # A one-row product goes through gemv, which rounds differently from
-        # gemm; a last block of one row is formed with the row above it.
-        low = min(start, stop - 2)
-        block = np.matmul(x[low:stop], m, out=scratch[:stop - low])
-        np.subtract(base[start:stop], block[start - low:], out=base[start:stop])
-    return base
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:

@@ -11,6 +11,14 @@ from . import linalg
 BASIS_TOL = 1e-10
 
 
+def check_eta(eta: float):
+    """Raise ValueError naming ``eta`` unless it is positive; written so
+    that NaN fails too. ``Sigma.floor_step``, ``Sigma.pair_step`` (so every
+    single step) and ``initialization.kappa`` call it."""
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 @dataclass
 class Target:
     """A symmetric matrix with known eigen-structure.
@@ -97,10 +105,11 @@ class Sigma:
     singular values) the diagonal path also needs descending non-negative
     entries, so that the diagonal is its own SVD: a Target with a negative
     eigenvalue is then dense, and an array is diagonal when it is a square
-    diagonal matrix with such entries. The symmetric and eigenspace steps
-    see the operator as a flat floor plus a head, mu I + R (``split``), so
-    each step is one matmul of the factor plus a product on the head's rows
-    (``floor_step``); the two-factor step adds ``ascent``.
+    diagonal matrix with such entries. Every step sees the operator as a
+    flat floor plus a head, mu I + R (``split``), so each step is one
+    matmul of the iterate plus a product on the head's rows: ``floor_step``
+    for the symmetric and eigenspace steps, ``pair_step`` for the
+    two-factor one, whose iterate holds both factors side by side.
     """
 
     def __init__(self, source, svd: bool = False):
@@ -129,11 +138,12 @@ class Sigma:
     def factor_order(self) -> str:
         """Memory order of every solver's factor buffers: the symmetric and
         two-factor iterates and the eigenspace frames, in runs and in the
-        eigenspace single steps. "F" for a diagonal operator: its elementwise
-        products (the two-factor ascent, and the head of a spectrum without a
-        flat floor) then run down contiguous columns, not r-element rows
-        (1.8x faster at d=20000, r=10), and the step's v K matmul took
-        126-141 us there against 223 us on "C". The eigenspace Gram rounds
+        single steps. "F" for a diagonal operator: its elementwise
+        products (the head of a spectrum without a flat floor) then run down
+        contiguous columns, not r-element rows (1.8x faster at d=20000,
+        r=10), each factor of the two-factor iterate [X | Y] is one
+        contiguous half, and the step's v K matmul took 126-141 us there
+        against 223 us on "C". The eigenspace Gram rounds
         differently on "F" (the shipped projection errors moved by up to
         6.3e-11). "C" for a dense one, whose products would round
         differently on "F"."""
@@ -181,6 +191,7 @@ class Sigma:
         sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric step
         335 us against 393 us for the earlier x + eta Sigma x - x M, and
         eigenspace 581 against 987)."""
+        check_eta(eta)
         mu, s, rest = self.split()
         scale = (1.0 + eta * mu) * np.eye(rank)
         if self.diag is not None:
@@ -223,20 +234,61 @@ class Sigma:
 
         return step
 
-    def ascent(self, eta: float, transpose: bool = False):
-        """The map ``(v, base, out) -> base + eta * Sigma v`` (``Sigma^T v``
-        with ``transpose``) into ``out``: the base of the two-factor step,
-        whose Sigma term multiplies the other factor, so no floor folds into
-        its product. A diagonal Sigma forms the column eta * diag here, once
-        per run."""
+    def pair_step(self, eta: float, rank: int, regularized: bool):
+        """The two-factor update for step size ``eta`` on factors of ``rank``
+        columns, built once per run: the map ``(z, gram_x, gram_y, out,
+        scratch) -> out`` on the joint iterate z = [X | Y], d x 2r with d the
+        longer factor's rows, the shorter factor's missing rows zero. With
+        ``split`` = (mu, s, R) the update is one matmul, z A into ``out`` with
+        A = [[I - M_x, eta mu I], [eta mu I, I - M_y]], plus eta R Y added to
+        X's columns and eta R^T X to Y's on the leading s rows (a dense
+        Sigma: mu = 0, every real row), formed beside each other in row
+        blocks of the scratch. Regularized, M_x = M_y = (eta/2)(G_x + G_y),
+        which is eta G_y + (eta/2)(G_x - G_y) and
+        eta G_x - (eta/2)(G_x - G_y): the balancing term folds into the
+        r x r multiplier. Unregularized, M_x = eta G_y and M_y = eta G_x.
+        Padding rows stay zero, since mu = 0 whenever the factors differ in
+        length and the head writes real rows only."""
+        check_eta(eta)
+        mu, s, rest = self.split()
+        r = rank
+        multiplier = np.kron([[1.0, eta * mu], [eta * mu, 1.0]], np.eye(r))
         if self.diag is not None:
-            col = (eta * self.diag)[:, None]
-            return lambda v, base, out: np.add(base, np.multiply(col, v, out=out), out=out)
-        apply = self.apply_t if transpose else self.apply
+            col = (eta * rest)[:, None]
 
-        def step(v, base, out):
-            np.multiply(eta, apply(v, out=out), out=out)
-            return np.add(base, out, out=out)
+            def head(z, start, stop, block):
+                np.multiply(col[start:stop], z[start:stop, r:], out=block[:, :r])
+                np.multiply(col[start:stop], z[start:stop, :r], out=block[:, r:])
+                return block
+        else:
+            (d1, d2), s = self.shape, max(self.shape)
+
+            def head(z, start, stop, block):
+                # eta Sigma Y beside eta Sigma^T X, so the update adds whole
+                # rows; a half past its factor's rows is 0.
+                for mat, v, half, n in ((rest, z[:d2, r:], block[:, :r], d1),
+                                        (rest.T, z[:d1, :r], block[:, r:], d2)):
+                    real = max(0, min(stop, n) - start)
+                    np.matmul(mat[start:start + real], v, out=half[:real])
+                    half[real:] = 0.0
+                return np.multiply(eta, block, out=block)
+
+        def step(z, gram_x, gram_y, out, scratch):
+            a = multiplier.copy()
+            if regularized:
+                m = np.add(gram_x, gram_y)
+                m *= 0.5 * eta
+                a[:r, :r] -= m
+                a[r:, r:] -= m
+            else:
+                a[:r, :r] -= eta * gram_y
+                a[r:, r:] -= eta * gram_x
+            np.matmul(z, a, out=out)
+            rows = scratch.shape[0]
+            for start in range(0, s, rows):
+                stop = min(start + rows, s)
+                np.add(out[start:stop], head(z, start, stop, scratch[:stop - start]), out=out[start:stop])
+            return out
 
         return step
 

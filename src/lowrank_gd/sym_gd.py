@@ -62,9 +62,8 @@ class TraceRecord:
 
 def gd_step(state: FactorState, target, eta: float) -> FactorState:
     """One gradient step X + eta * (Sigma - X X^T) X. ``target`` is a
-    Target or a symmetric array (the lifting oracles pass the latter)."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    Target or a symmetric array (the lifting oracles pass the latter).
+    ``Sigma.floor_step`` rejects a step size that is not positive."""
     op = Sigma(target)
     op.check_shape(state.dim)
     x = np.asarray(state.x, order=op.factor_order)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import multi_block_target, pad_square, random_orthogonal
+from conftest import floor_target, multi_block_target, pad_square, random_orthogonal
 from lowrank_gd import (
     AsymState,
     DivergenceError,
@@ -222,6 +222,40 @@ def test_run_above_one_block_matches_repeated_steps(tail, regularized):
     state = AsymState(0.5 * gaussian_factor(d, r, seed=1), 0.5 * gaussian_factor(d, r, seed=2))
     trace, manual = _run_and_step(state, target, regularized, 20)
     assert trace.iterations == 20
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "sloped"])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_run_matches_repeated_asym_step_over_either_floor(blocks, flat, regularized):
+    # Over a flat floor the head of Sigma's split is the r leading rows;
+    # over a sloped tail it is every row but the last, and at three blocks
+    # of a factor it spans every block of the joint iterate's scratch.
+    # Either way every record and the final pair have asym_step's bits.
+    target = multi_block_target(2000, flat=flat) if blocks == 3 else floor_target(60, flat)
+    d, r = target.dim, target.rank
+    manual = AsymState(0.5 * gaussian_factor(d, r, seed=6), 0.5 * gaussian_factor(d, r, seed=7))
+    trace = run_asym(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=15), regularized)
+    assert trace.iterations == 15
+    for t, rec in enumerate(trace.records):
+        if t:
+            manual = asym_step(manual, target, 0.05, regularized=regularized)
+        assert rec.iter == t and rec.error == asym_error(manual, target, r)
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+
+
+@pytest.mark.parametrize("d1, d2", [(7, 4), (4, 7)])
+def test_rectangular_run_keeps_each_factor_at_its_length(rng, d1, d2):
+    # The shorter factor is zero-padded in the joint iterate; the final
+    # state holds the real rows only and equals repeated steps.
+    sigma = rng.normal(size=(d1, d2))
+    state = AsymState(0.3 * rng.normal(size=(d1, 2)), 0.3 * rng.normal(size=(d2, 2)))
+    trace, manual = _run_and_step(state, sigma, True, 30, eta=0.02)
+    assert trace.iterations == 30
+    assert trace.final_state.x.shape == (d1, 2) and trace.final_state.y.shape == (d2, 2)
     np.testing.assert_array_equal(trace.final_state.x, manual.x)
     np.testing.assert_array_equal(trace.final_state.y, manual.y)
 

@@ -168,6 +168,26 @@ def test_step_buffers_are_aligned_copies_in_the_given_order(rng, order):
         assert buffers[2].shape == linalg.block_scratch(x).shape
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_step_buffers_place_a_pair_side_by_side(rng, order):
+    # The two-factor iterate [x | y] has the longer factor's rows; the
+    # shorter one's missing rows are zero, and the scratch is one block of
+    # the joint width.
+    r = 3
+    rows = linalg.block_rows(10**9, 2 * r)
+    for d1, d2 in ((5, 5), (7, 4), (4, 7), (2 * rows + 5, rows)):
+        x, y = rng.normal(size=(d1, r)), rng.normal(size=(d2, r))
+        z, spare, scratch = linalg.step_buffers(x, order, y)
+        d = max(d1, d2)
+        assert z.shape == spare.shape == (d, 2 * r)
+        assert scratch.shape == (min(d, rows), 2 * r) == linalg.block_scratch(z).shape
+        assert all(b.flags[f"{order}_CONTIGUOUS"] and b.ctypes.data % linalg.BUFFER_ALIGN == 0
+                   for b in (z, spare, scratch))
+        np.testing.assert_array_equal(z[:d1, :r], x)
+        np.testing.assert_array_equal(z[:d2, r:], y)
+        assert not z[d1:, :r].any() and not z[d2:, r:].any()
+
+
 def test_block_rows_fit_the_block_in_multiples_of_eight():
     for r in (1, 3, 10, 64, 10**6):
         rows = linalg.block_rows(10**9, r)
@@ -175,39 +195,3 @@ def test_block_rows_fit_the_block_in_multiples_of_eight():
         assert rows * r * 8 <= linalg.BLOCK_BYTES or rows == 8
         assert (rows + 8) * r * 8 > linalg.BLOCK_BYTES
         assert linalg.block_rows(rows, r) == rows and linalg.block_rows(5, r) == 5
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("half_block", [True, False], ids=["partial-tail", "one-row-tail"])
-def test_descent_update_in_row_blocks_equals_the_whole_product(rng, order, half_block):
-    # One block-sized scratch gives the bits of a scratch shaped like x,
-    # with a partial last block and with a last block of a single row
-    # (numpy would take that one through gemv, which rounds differently).
-    r = 10
-    rows = linalg.block_rows(10**9, r)
-    d = 2 * rows + (rows // 2 if half_block else 1)
-    x, base = (np.asarray(rng.normal(size=(d, r)), order=order) for _ in range(2))
-    m = rng.normal(size=(r, r))
-    scratch = linalg.block_scratch(x)
-    assert scratch.shape == (rows, r) and scratch.flags[f"{order}_CONTIGUOUS"]
-    whole = linalg.descent_update(base.copy(order=order), x, m, np.empty_like(x))
-    blocked = base.copy(order=order)
-    assert linalg.descent_update(blocked, x, m, scratch) is blocked
-    np.testing.assert_array_equal(blocked, whole)
-    np.testing.assert_array_equal(whole, base - x @ m)
-
-
-def test_descent_update_of_one_block_is_one_matmul_and_one_subtract(rng, monkeypatch):
-    calls = []
-    for name in ("matmul", "subtract"):
-        def counted(*args, _f=getattr(np, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(np, name, counted)
-    x, base, m = rng.normal(size=(50, 3)), rng.normal(size=(50, 3)), rng.normal(size=(3, 3))
-    linalg.descent_update(base, x, m, linalg.block_scratch(x))
-    assert calls == ["matmul", "subtract"]
-    calls.clear()
-    tall = rng.normal(size=(int(2.5 * linalg.block_rows(10**9, 3)), 3))
-    linalg.descent_update(tall.copy(), tall, m, linalg.block_scratch(tall))
-    assert calls == ["matmul", "subtract"] * 3

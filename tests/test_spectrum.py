@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import floor_target, random_orthogonal
-from lowrank_gd import Sigma, best_rank_r, experiment_spectrum, make_diagonal_target, make_target
+from lowrank_gd import (
+    AsymState,
+    EigState,
+    FactorState,
+    Sigma,
+    asym_step,
+    best_rank_r,
+    experiment_spectrum,
+    gd_step,
+    kappa,
+    make_diagonal_target,
+    make_target,
+    rf_step,
+    rgd_step,
+)
+from lowrank_gd import linalg
 
 
 def givens(theta):
@@ -207,6 +222,19 @@ def test_floor_step_matches_the_dense_update(rng, order, sandwich):
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
 
 
+def _count_rows(patch):
+    """Patch numpy's matmul and elementwise calls to log (name, most rows
+    of any array argument) into the returned list."""
+    calls = []
+    for name in ("matmul", "multiply", "add", "subtract"):
+        def counted(*args, _f=getattr(np, name), _name=name, **kwargs):
+            arrays = [a for a in (*args, kwargs.get("out")) if isinstance(a, np.ndarray)]
+            calls.append((_name, max(a.shape[0] for a in arrays)))
+            return _f(*args, **kwargs)
+        patch.setattr(np, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("sandwich", [False, True], ids=["sym", "eig"])
 def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
     # Over a flat floor the rows past the head get no pass of their own:
@@ -216,16 +244,87 @@ def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
     step = op.floor_step(0.05, r)
     v = np.asarray(rng.normal(size=(d, r)), order=op.factor_order)
     gram, out, scratch = v.T @ v, np.empty_like(v), np.empty_like(v)
-    calls = []
-    for name in ("matmul", "multiply", "add", "subtract"):
-        def counted(*args, _f=getattr(np, name), _name=name, **kwargs):
-            arrays = [a for a in (*args, kwargs.get("out")) if isinstance(a, np.ndarray)]
-            calls.append((_name, max(a.shape[0] for a in arrays)))
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(np, name, counted)
+    calls = _count_rows(monkeypatch)
     step(v, gram, out, scratch, sandwich=sandwich)
     assert [name for name, rows in calls if rows == d] == ["matmul"]
     assert all(rows <= r for name, rows in calls if rows != d)
+
+
+def _pair_oracle(x, y, sigma, eta, regularized):
+    """The two-factor update as the gradients read, through dense products."""
+    gram_x, gram_y = x.T @ x, y.T @ y
+    x_next = x + eta * (sigma @ y - x @ gram_y)
+    y_next = y + eta * (sigma.T @ x - y @ gram_x)
+    if regularized:
+        x_next -= 0.5 * eta * x @ (gram_x - gram_y)
+        y_next += 0.5 * eta * y @ (gram_x - gram_y)
+    return x_next, y_next
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+def test_pair_step_matches_the_dense_update(rng, regularized):
+    # z A plus the head on the leading rows, against the dense update: a
+    # diagonal Sigma over a flat floor and over a sloped tail, a rotated one,
+    # and rectangular arrays either way round, whose shorter factor is
+    # zero-padded in z and stays zero there. With a scratch of z's height and
+    # one of 3 rows, which takes the head in several blocks.
+    d, r, eta = 11, 2, 0.1
+    sources = [floor_target(d, True, r), floor_target(d, False, r),
+               make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d)),
+               rng.normal(size=(d, 7)), rng.normal(size=(7, d))]
+    for source in sources:
+        op = Sigma(source, svd=True)
+        sigma = source.matrix if hasattr(source, "matrix") else source
+        d1, d2 = sigma.shape
+        x, y = rng.normal(size=(d1, r)), rng.normal(size=(d2, r))
+        want = _pair_oracle(x, y, sigma, eta, regularized)
+        step = op.pair_step(eta, r, regularized)
+        for rows in (d, 3):
+            z, out, _ = linalg.step_buffers(x, op.factor_order, y)
+            out.fill(np.nan)
+            got = step(z, x.T @ x, y.T @ y, out, np.empty_like(z[:rows]))
+            assert got is out
+            np.testing.assert_allclose(out[:d1, :r], want[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(out[:d2, r:], want[1], rtol=0, atol=1e-14)
+            assert not out[d1:, :r].any() and not out[d2:, r:].any()
+
+
+def test_flat_floor_pair_step_is_one_matmul(rng, monkeypatch):
+    # Over a flat floor both factors step in one matmul of the joint
+    # iterate, and no other call touches more than the 2r rows of the head
+    # and the r x r and 2r x 2r multipliers.
+    d, r = 5000, 4
+    op = Sigma(floor_target(d, True, r), svd=True)
+    x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
+    z, out, scratch = linalg.step_buffers(x, op.factor_order, y)
+    assert scratch.shape == z.shape
+    for regularized in (True, False):
+        step, grams = op.pair_step(0.05, r, regularized), (x.T @ x, y.T @ y)
+        with monkeypatch.context() as patch:
+            calls = _count_rows(patch)
+            step(z, *grams, out, scratch)
+        assert [name for name, rows in calls if rows == d] == ["matmul"]
+        assert all(rows <= 2 * r for name, rows in calls if rows != d)
+
+
+ETA_TARGET = make_diagonal_target([3.0, 1.0, 0.5], 3, 1)
+ETA_USERS = {
+    "gd_step": lambda eta: gd_step(FactorState(np.ones((3, 1))), ETA_TARGET, eta),
+    "asym_step": lambda eta: asym_step(AsymState(np.ones((3, 1)), np.ones((3, 1))), ETA_TARGET, eta),
+    "rf_step": lambda eta: rf_step(EigState(np.ones((3, 1))), ETA_TARGET, eta),
+    "rgd_step": lambda eta: rgd_step(EigState(np.ones((3, 1))), ETA_TARGET, eta),
+    "kappa": lambda eta: kappa(ETA_TARGET, eta),
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.5, math.nan])
+@pytest.mark.parametrize("name", sorted(ETA_USERS))
+def test_steps_and_kappa_reject_a_nonpositive_eta_by_name(name, eta):
+    # A negative eta would take an ascent step, and a NaN one would fail
+    # later as a non-finite factor, without naming eta.
+    ETA_USERS[name](0.1)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        ETA_USERS[name](eta)
 
 
 def test_sigma_to_eigen(rng):
