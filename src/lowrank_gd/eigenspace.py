@@ -9,8 +9,8 @@ square root of the target maps one retraction-free step onto one step of
 the symmetric factored iteration, which is used as a per-step oracle.
 
 Both methods apply the target through ``spectrum.Sigma`` and keep their
-frames in its ``factor_order``, and ``run_eig`` is a thin caller of the
-shared ``engine.iterate``.
+frames in the buffers it hands out, and ``run_eig`` is a thin caller of
+the shared ``engine.iterate``.
 """
 
 import math
@@ -57,14 +57,13 @@ class EigRecord:
 
 def rf_step(state: EigState, sigma, eta: float) -> EigState:
     """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
-    Target or a symmetric array. The step runs in ``Sigma.factor_order``,
-    as ``run_eig`` does, so a run equals repeated steps bit for bit."""
+    Target or a symmetric array. The step runs in ``Sigma.buffers``, as
+    ``run_eig`` does, so a run equals repeated steps bit for bit."""
     op = Sigma(sigma)
     op.check_shape(state.dim)
-    l = np.asarray(state.l, order=op.factor_order)
+    l, out = op.buffers(state.l)
     # The Gram L^T L is formed as the error closure forms it in ``run_eig``.
-    step = op.floor_step(eta, state.rank)
-    return EigState(step(l, l.T @ l, np.empty_like(l), linalg.block_scratch(l), sandwich=True))
+    return EigState(op.floor_step(eta, state.rank)(l, l.T @ l, out, sandwich=True))
 
 
 def retract(l_tilde) -> np.ndarray:
@@ -90,9 +89,8 @@ def _polar(l: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
 
 def rgd_step(state: EigState, sigma, eta: float) -> EigState:
     """Retract the frame, then apply the Riemannian gradient update. Both
-    run in ``Sigma.factor_order``, as in ``run_eig``."""
-    l = np.asarray(state.l, order=Sigma(sigma).factor_order)
-    return rf_step(EigState(retract(l)), sigma, eta)
+    run in the layout of ``Sigma.buffers``, as in ``run_eig``."""
+    return rf_step(EigState(retract(Sigma(sigma).buffers(state.l)[0])), sigma, eta)
 
 
 def proj_error(state: EigState, oracle: RankROracle) -> float:
@@ -153,7 +151,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         EigRecords of the projection error at the recording cadence;
         ``wall_time`` measures the iteration loop only (the retraction
         included), so benchmark comparisons exclude setup. Frames live in
-        ``Sigma.factor_order``.
+        ``Sigma.buffers``.
 
     Raises
     ------
@@ -171,7 +169,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon
     step = op.floor_step(eta, state0.rank)
-    l0, spare, scratch = linalg.step_buffers(state0.l, op.factor_order)
+    l0, spare = op.buffers(state0.l)
 
     def measure(l):
         if retracted:
@@ -184,6 +182,6 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         return l, math.sqrt(np.trace(gram)), err, err <= epsilon, gram
 
     return iterate(
-        l0, spare, lambda l, gram, out: step(l, gram, out, scratch, sandwich=True), measure,
+        l0, spare, lambda l, gram, out: step(l, gram, out, sandwich=True), measure,
         lambda t, l, err, _: EigRecord(t, err), config, EigState,
     )

@@ -52,7 +52,9 @@ def kappa(target: Target, eta: float) -> float:
 
 def small_alpha_bound(target: Target, eta: float, multiplier: float = 1.0) -> float:
     """Initialization magnitude below which the warm-up analysis applies:
-    multiplier * d^(-(1+kappa)/(1-kappa))."""
+    multiplier * d^(-(1+kappa)/(1-kappa)), for a finite multiplier > 0."""
+    if not 0 < multiplier < math.inf:
+        raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
     k = kappa(target, eta)
     if k >= 1.0:
         raise ValueError(f"decay exponent must be below 1, got {k}")
@@ -114,7 +116,8 @@ def check_condition_1(state0: FactorState, target: Target, eta: float) -> Condit
 def warmup_budget(state0: FactorState, target: Target, eta: float) -> int:
     """Iterations needed for the signal block U (the top r rows in the
     target's eigenbasis coordinates) to clear gap/4, with the printed
-    constant; zero when it already does."""
+    constant; zero when it already does (a bad eta raises even then)."""
+    check_eta(eta)
     sru2 = block_values(eigen_blocks(state0, target))[2] ** 2
     gap = target.gap
     if sru2 >= gap / 4.0:

@@ -1,10 +1,10 @@
 """Dense matrix kernels shared by every solver module.
 
 All routines operate on plain 2-D float64 numpy arrays and are pure
-functions of their inputs; the step kernels that write into the step
-buffers are built by ``spectrum.Sigma``. Decompositions are delegated to
-LAPACK via numpy; the wrappers pin down validation, ordering conventions,
-and the error behaviour the solvers rely on.
+functions of their inputs, apart from the aligned allocations that
+``spectrum.Sigma`` asks for. Decompositions are delegated to LAPACK via
+numpy; the wrappers pin down validation, ordering conventions, and the
+error behaviour the solvers rely on.
 """
 
 import numpy as np
@@ -18,23 +18,21 @@ SYMMETRY_TOL = 1e-12
 # to the largest one.
 SPD_MIN_EIG = 1e-12
 
-# Byte boundary the solvers' step buffers start on: one cache line. malloc
-# puts a large array 16 bytes past a page or anywhere in a line, depending
-# on what the process allocated before; the d=20000, r=10 symmetric loop
-# ran about 10% slower on buffers 8 or 16 bytes off a line than on aligned
-# ones (2-vCPU Xeon VM).
+# Byte boundary the solvers' step buffers and the step maps' head scratch
+# start on: one cache line. malloc puts a large array 16 bytes past a page
+# or anywhere in a line, depending on what the process allocated before;
+# the d=20000, r=10 symmetric loop ran about 10% slower on buffers 8 or 16
+# bytes off a line than on aligned ones (2-vCPU Xeon VM).
 BUFFER_ALIGN = 64
 
-# Bytes of iterate rows a step kernel forms in its scratch at once: the
-# product of one row block stays in L2 until the update reads it back,
-# instead of making a round trip through a d x r scratch. Every step forms
-# the head of Sigma's split so (``spectrum.Sigma.floor_step`` and
-# ``pair_step``). Sized when the symmetric step still subtracted x M formed
-# in row blocks, with perfbench sym-solve (d=20000, r=10; 2-vCPU Xeon VM,
-# 2 MiB L2 per core, OpenBLAS 0.3.31), median solve_ms.p50 over 4
-# alternating rounds: unblocked 402, 256 KiB 343, 320 KiB 344, 640 KiB 365.
-# In-process, 128 KiB blocks ran slower than none: each block is one more
-# small threaded BLAS call.
+# Bytes of iterate rows a step map forms the head of Sigma's split in at
+# once (``spectrum.Sigma.floor_step`` and ``pair_step``), so each block's
+# product stays in L2 until the update reads it back. Sized when the
+# symmetric step still subtracted x M in row blocks, with perfbench
+# sym-solve (d=20000, r=10; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS
+# 0.3.31), median solve_ms.p50 over 4 alternating rounds: unblocked 402,
+# 256 KiB 343, 320 KiB 344, 640 KiB 365. In-process, 128 KiB blocks ran
+# slower than none: each block is one more small threaded BLAS call.
 BLOCK_BYTES = 320 * 1024
 
 
@@ -83,50 +81,39 @@ def singular_values(m) -> np.ndarray:
         raise NumericalError(f"singular value iteration did not converge: {exc}") from exc
 
 
-def block_rows(d: int, r: int) -> int:
-    """Rows of the step kernels' scratch for a d x r iterate: all d when
-    they fit, else the most rows, a multiple of 8, whose float64 entries
-    fit ``BLOCK_BYTES`` (at least 8)."""
-    return min(d, max(8, BLOCK_BYTES // (8 * r) // 8 * 8))
+def block_rows(n: int, width: int) -> int:
+    """Rows of a head block over ``n`` rows of ``width`` columns: all n
+    when they fit, else the most rows, a multiple of 8, whose float64
+    entries fit ``BLOCK_BYTES`` (at least 8)."""
+    return min(n, max(8, BLOCK_BYTES // (8 * width) // 8 * 8))
 
 
-def block_scratch(x) -> np.ndarray:
-    """The scratch the step kernels take for the iterate ``x``, as
-    ``step_buffers`` sizes it: ``block_rows`` rows in x's memory order, so
-    an iterate that fits one block gets a buffer shaped like x. The
-    symmetric and eigenspace single steps use it, so they take the same
-    blocks as a run and equal it bit for bit."""
-    return np.empty_like(x[:block_rows(*x.shape)])
+def aligned_empty(rows: int, cols: int, order: str) -> np.ndarray:
+    """An uninitialized float64 ``rows`` x ``cols`` array in memory order
+    ``order`` that starts on a ``BUFFER_ALIGN``-byte boundary."""
+    size = rows * cols * 8
+    raw = np.empty(size + BUFFER_ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % BUFFER_ALIGN
+    return raw[start:start + size].view(np.float64).reshape((rows, cols), order=order)
 
 
-def step_buffers(x, order: str, y=None) -> list:
-    """A run's three float64 buffers in memory order ``order``, each
-    starting on a ``BUFFER_ALIGN``-byte boundary: the first iterate, the
-    uninitialized spare shaped like it, and the uninitialized one-block
-    scratch of the step kernels, ``block_rows`` rows. The iterate is a copy
-    of ``x``, or with ``y`` the two-factor iterate [x | y]: the factors side
-    by side, as many rows as the longer one, the shorter one's missing rows
-    zero. An iterate that fits one block gets three equal buffers; a larger
-    one saves a buffer of its size (1.6 MB for a d=20000, r=10 factor).
-    Every step writes the next iterate straight into the spare and uses the
-    scratch only for the head of Sigma's split. The two-factor single step
-    takes its buffers here too, so it forms a run's iterate and blocks and
-    equals a run bit for bit."""
+def step_buffers(x, order: str, y=None) -> tuple:
+    """A run's two float64 buffers in memory order ``order``, each from
+    ``aligned_empty``: the first iterate and the uninitialized spare shaped
+    like it, into which each step writes the next iterate. The iterate is a
+    copy of ``x``, or with ``y`` the two-factor iterate [x | y]: the factors
+    side by side, as many rows as the longer one, the shorter one's missing
+    rows zero."""
     parts = [np.asarray(p, dtype=np.float64) for p in ((x,) if y is None else (x, y))]
     d, width = max(p.shape[0] for p in parts), sum(p.shape[1] for p in parts)
-    buffers = []
-    for rows in (d, d, block_rows(d, width)):
-        size = rows * width * 8
-        raw = np.empty(size + BUFFER_ALIGN, dtype=np.uint8)
-        start = -raw.ctypes.data % BUFFER_ALIGN
-        buffers.append(raw[start:start + size].view(np.float64).reshape((rows, width), order=order))
+    z, spare = aligned_empty(d, width, order), aligned_empty(d, width, order)
     col = 0
     for p in parts:
         n, cols = p.shape
-        buffers[0][:n, col:col + cols] = p
-        buffers[0][n:, col:col + cols] = 0.0
+        z[:n, col:col + cols] = p
+        z[n:, col:col + cols] = 0.0
         col += cols
-    return buffers
+    return z, spare
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:

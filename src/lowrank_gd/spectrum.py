@@ -12,11 +12,19 @@ BASIS_TOL = 1e-10
 
 
 def check_eta(eta: float):
-    """Raise ValueError naming ``eta`` unless it is positive; written so
-    that NaN fails too. ``Sigma.floor_step``, ``Sigma.pair_step`` (so every
-    single step) and ``initialization.kappa`` call it."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    """Raise ValueError naming ``eta`` unless it is positive and finite (NaN
+    fails too). Sigma's step maps (so every single step), the budgets and
+    ``initialization.kappa`` call it."""
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def _blocks(head, v, s, scratch):
+    """``(start, stop, head(v, start, stop, block))`` for each row block of
+    the head's ``s`` rows, every block formed in ``scratch``."""
+    for start in range(0, s, max(1, len(scratch))):
+        stop = min(start + len(scratch), s)
+        yield start, stop, head(v, start, stop, scratch[:stop - start])
 
 
 @dataclass
@@ -109,7 +117,9 @@ class Sigma:
     flat floor plus a head, mu I + R (``split``), so each step is one
     matmul of the iterate plus a product on the head's rows: ``floor_step``
     for the symmetric and eigenspace steps, ``pair_step`` for the
-    two-factor one, whose iterate holds both factors side by side.
+    two-factor one, whose iterate holds both factors side by side. Sigma
+    owns a step's memory: each map keeps its own head scratch, and
+    ``buffers`` makes a run's iterate and spare.
     """
 
     def __init__(self, source, svd: bool = False):
@@ -136,18 +146,23 @@ class Sigma:
 
     @property
     def factor_order(self) -> str:
-        """Memory order of every solver's factor buffers: the symmetric and
-        two-factor iterates and the eigenspace frames, in runs and in the
-        single steps. "F" for a diagonal operator: its elementwise
-        products (the head of a spectrum without a flat floor) then run down
-        contiguous columns, not r-element rows (1.8x faster at d=20000,
-        r=10), each factor of the two-factor iterate [X | Y] is one
-        contiguous half, and the step's v K matmul took 126-141 us there
-        against 223 us on "C". The eigenspace Gram rounds
-        differently on "F" (the shipped projection errors moved by up to
-        6.3e-11). "C" for a dense one, whose products would round
-        differently on "F"."""
+        """Memory order of every buffer this operator hands out: the
+        symmetric and two-factor iterates, the eigenspace frames and the
+        step maps' head scratch, in runs and in the single steps. "F" for a
+        diagonal operator: its elementwise products (the head of a spectrum
+        without a flat floor) then run down contiguous columns, not
+        r-element rows (1.8x faster at d=20000, r=10), each factor of the
+        two-factor iterate [X | Y] is one contiguous half, and the step's
+        v K matmul took 126-141 us there against 223 us on "C". The
+        eigenspace Gram rounds differently on "F" (the shipped projection
+        errors moved by up to 6.3e-11). "C" for a dense one, whose products
+        would round differently on "F"."""
         return "F" if self.diag is not None else "C"
+
+    def buffers(self, x, y=None) -> tuple:
+        """A run's or a single step's iterate, a copy of ``x`` (with ``y``,
+        [x | y]), and its spare: ``linalg.step_buffers`` in ``factor_order``."""
+        return linalg.step_buffers(x, self.factor_order, y)
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sigma @ v, written into ``out`` when given."""
@@ -177,23 +192,24 @@ class Sigma:
     def floor_step(self, eta: float, rank: int):
         """The symmetric and eigenspace update for step size ``eta`` on d x
         ``rank`` factors, built once per run from ``split``: the map ``(v,
-        gram, out, scratch, sandwich=False) -> out`` that writes
+        gram, out, sandwich=False) -> out`` that writes
         (I + eta Sigma) v - v M into ``out`` and returns it. M is eta ``gram``
         (the symmetric step, gram = X^T X); with ``sandwich`` it is
         eta v^T Sigma v = eta mu ``gram`` + v^T (eta R) v (the eigenspace
         step, gram = L^T L). Since the rows past s of I + eta Sigma are the
         scalar 1 + eta mu, the update is one matmul,
         v ((1 + eta mu) I - M) into ``out``, plus eta R v added to the
-        leading s rows. That product is formed in row blocks of the
-        scratch's height, so no step allocates a d x r array: once for both
-        uses when s fits one block (every spiked spectrum), else once per
-        use, with each block's rows of the matmul formed while the block
-        sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric step
-        335 us against 393 us for the earlier x + eta Sigma x - x M, and
-        eigenspace 581 against 987)."""
+        leading s rows. That product is formed in the map's head scratch,
+        so no step allocates a d x r array: once for both uses when the
+        head fits one block (every spiked spectrum), else once per use in
+        row blocks, with each block's rows of the matmul formed while the
+        block sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric
+        step 335 us against 393 us for the earlier x + eta Sigma x - x M,
+        and eigenspace 581 against 987)."""
         check_eta(eta)
         mu, s, rest = self.split()
         scale = (1.0 + eta * mu) * np.eye(rank)
+        scratch = linalg.aligned_empty(linalg.block_rows(s, rank), rank, self.factor_order)
         if self.diag is not None:
             col = (eta * rest)[:, None]
 
@@ -203,18 +219,12 @@ class Sigma:
             def head(v, start, stop, out):
                 return np.multiply(eta, np.matmul(rest[start:stop], v, out=out), out=out)
 
-        def blocks(v, scratch):
-            rows = scratch.shape[0]
-            for start in range(0, s, rows):
-                stop = min(start + rows, s)
-                yield start, stop, head(v, start, stop, scratch[:stop - start])
-
-        def step(v, gram, out, scratch, sandwich=False):
+        def step(v, gram, out, sandwich=False):
             m = (eta * mu if sandwich else eta) * gram
             if s <= scratch.shape[0]:
                 # The head fits one block: formed once, for the Gram and the
                 # update, around one matmul over every row.
-                block = head(v, 0, s, scratch[:s])
+                block = head(v, 0, s, scratch)
                 if sandwich:
                     m += v[:s].T @ block
                 np.matmul(v, np.subtract(scale, m, out=m), out=out)
@@ -222,12 +232,12 @@ class Sigma:
                 np.add(top, block, out=top)
                 return out
             if sandwich:
-                m += sum(v[start:stop].T @ block for start, stop, block in blocks(v, scratch))
+                m += sum(v[start:stop].T @ block for start, stop, block in _blocks(head, v, s, scratch))
             k = np.subtract(scale, m, out=m)
             # Each head block's rows of the matmul are formed next to the
             # block's product, while both sit in L2; the floor rows at once.
             np.matmul(v[s:], k, out=out[s:])
-            for start, stop, block in blocks(v, scratch):
+            for start, stop, block in _blocks(head, v, s, scratch):
                 np.matmul(v[start:stop], k, out=out[start:stop])
                 np.add(out[start:stop], block, out=out[start:stop])
             return out
@@ -236,16 +246,16 @@ class Sigma:
 
     def pair_step(self, eta: float, rank: int, regularized: bool):
         """The two-factor update for step size ``eta`` on factors of ``rank``
-        columns, built once per run: the map ``(z, gram_x, gram_y, out,
-        scratch) -> out`` on the joint iterate z = [X | Y], d x 2r with d the
-        longer factor's rows, the shorter factor's missing rows zero. With
-        ``split`` = (mu, s, R) the update is one matmul, z A into ``out`` with
-        A = [[I - M_x, eta mu I], [eta mu I, I - M_y]], plus eta R Y added to
-        X's columns and eta R^T X to Y's on the leading s rows (a dense
-        Sigma: mu = 0, every real row), formed beside each other in row
-        blocks of the scratch. Regularized, M_x = M_y = (eta/2)(G_x + G_y),
-        which is eta G_y + (eta/2)(G_x - G_y) and
-        eta G_x - (eta/2)(G_x - G_y): the balancing term folds into the
+        columns, built once per run: the map ``(z, gram_x, gram_y, out) ->
+        out`` on the joint iterate z = [X | Y], d x 2r with d the longer
+        factor's rows, the shorter factor's missing rows zero (``buffers``).
+        With ``split`` = (mu, s, R) the update is one matmul, z A into
+        ``out`` with A = [[I - M_x, eta mu I], [eta mu I, I - M_y]], plus
+        eta R Y added to X's columns and eta R^T X to Y's on the leading s
+        rows (a dense Sigma: mu = 0, every real row), formed beside each
+        other in row blocks of the map's head scratch. Regularized,
+        M_x = M_y = (eta/2)(G_x + G_y), which is eta G_y + (eta/2)(G_x - G_y)
+        and eta G_x - (eta/2)(G_x - G_y): the balancing term folds into the
         r x r multiplier. Unregularized, M_x = eta G_y and M_y = eta G_x.
         Padding rows stay zero, since mu = 0 whenever the factors differ in
         length and the head writes real rows only."""
@@ -272,8 +282,9 @@ class Sigma:
                     np.matmul(mat[start:start + real], v, out=half[:real])
                     half[real:] = 0.0
                 return np.multiply(eta, block, out=block)
+        scratch = linalg.aligned_empty(linalg.block_rows(s, 2 * r), 2 * r, self.factor_order)
 
-        def step(z, gram_x, gram_y, out, scratch):
+        def step(z, gram_x, gram_y, out):
             a = multiplier.copy()
             if regularized:
                 m = np.add(gram_x, gram_y)
@@ -284,10 +295,8 @@ class Sigma:
                 a[:r, :r] -= eta * gram_y
                 a[r:, r:] -= eta * gram_x
             np.matmul(z, a, out=out)
-            rows = scratch.shape[0]
-            for start in range(0, s, rows):
-                stop = min(start + rows, s)
-                np.add(out[start:stop], head(z, start, stop, scratch[:stop - start]), out=out[start:stop])
+            for start, stop, block in _blocks(head, z, s, scratch):
+                np.add(out[start:stop], block, out=out[start:stop])
             return out
 
         return step

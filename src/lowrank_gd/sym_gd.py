@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .engine import SolverConfig, Trace, iterate
-from .spectrum import Sigma, Target
+from .spectrum import Sigma, Target, check_eta
 
 # Additive slack absorbing floating-point drift in region membership.
 DEFAULT_REGION_SLACK = 1e-8
@@ -63,15 +63,14 @@ class TraceRecord:
 def gd_step(state: FactorState, target, eta: float) -> FactorState:
     """One gradient step X + eta * (Sigma - X X^T) X. ``target`` is a
     Target or a symmetric array (the lifting oracles pass the latter).
-    ``Sigma.floor_step`` rejects a step size that is not positive."""
+    ``Sigma.floor_step`` rejects a step size that is not positive and finite."""
     op = Sigma(target)
     op.check_shape(state.dim)
-    x = np.asarray(state.x, order=op.factor_order)
-    # The step runs in ``Sigma.factor_order`` and a Target's Gram comes from
-    # the error's blocks, as in ``run``, so a run equals repeated steps bit
-    # for bit; an array has no known eigenbasis.
+    # Buffers and, for a Target, the Gram from the error's blocks as in
+    # ``run``, so a run equals repeated steps; an array has no eigenbasis.
+    x, out = op.buffers(state.x)
     gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
-    return FactorState(op.floor_step(eta, state.rank)(x, gram, np.empty_like(x), linalg.block_scratch(x)))
+    return FactorState(op.floor_step(eta, state.rank)(x, gram, out))
 
 
 def _gram(blocks) -> np.ndarray:
@@ -141,9 +140,11 @@ def signal_residual(state: FactorState, target: Target) -> float:
 
 def local_iteration_budget(target: Target, eta: float, epsilon: float) -> int:
     """Iterations guaranteed to reach the given error from inside the
-    absorbing region, with the analysis' printed constants."""
-    if eta <= 0 or epsilon <= 0:
-        raise ValueError("eta and epsilon must be positive")
+    absorbing region, with the analysis' printed constants; eta and
+    epsilon must be positive and finite."""
+    check_eta(eta)
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     lam1, gap, r = target.lambda_top, target.gap, target.rank
     arg = 200.0 * r * lam1 ** 2 / (eta * gap ** 2 * epsilon)
     return max(0, math.ceil((6.0 / (eta * gap)) * math.log(arg)))
@@ -225,7 +226,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
     step = op.floor_step(eta, state0.rank)
-    x0, spare, scratch = linalg.step_buffers(state0.x, op.factor_order)
+    x0, spare = op.buffers(state0.x)
 
     def measure(x):
         err, blocks = err_fn(x)
@@ -240,5 +241,5 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
             values = (math.nan,) * 5 + (False, False)
         return TraceRecord(t, err, *values)
 
-    return iterate(x0, spare, lambda x, blocks, out: step(x, _gram(blocks), out, scratch),
+    return iterate(x0, spare, lambda x, blocks, out: step(x, _gram(blocks), out),
                    measure, record, config, FactorState)

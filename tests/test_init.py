@@ -15,7 +15,7 @@ from lowrank_gd import (
     small_alpha_bound,
     warmup_budget,
 )
-from lowrank_gd import experiment_spectrum, load_config
+from lowrank_gd import experiment_spectrum, load_config, local_iteration_budget
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -202,3 +202,31 @@ def test_warmup_budget_half_region():
     state = FactorState(col(s, 0.0))
     expected = math.ceil((2.0 / (0.05 * TOY.gap)) * math.log(2.0))
     assert warmup_budget(state, TOY, 0.05) == expected
+
+
+# --- bad arguments -----------------------------------------------------------
+
+BAD_ARGUMENT_USERS = {
+    # from outside gap/4 and from inside it, where the budget is 0 for any eta
+    "warmup_budget": lambda eta: warmup_budget(FactorState(col(0.01, 0.0)), TOY, eta),
+    "warmup_budget inside": lambda eta: warmup_budget(FactorState(col(0.5, 0.0)), TOY, eta),
+    "local_iteration_budget": lambda eta=0.05, epsilon=1e-6: local_iteration_budget(TOY, eta, epsilon),
+    "small_alpha_bound": lambda multiplier: small_alpha_bound(TOY, 0.05, multiplier),
+}
+
+
+@pytest.mark.parametrize("user, argument, value", [
+    *((name, "eta", v) for name in ("warmup_budget", "warmup_budget inside", "local_iteration_budget")
+      for v in (-0.05, 0.0, math.nan, math.inf)),
+    *(("local_iteration_budget", "epsilon", v) for v in (-1.0, 0.0, math.nan, math.inf)),
+    *(("small_alpha_bound", "multiplier", v) for v in (-1.0, 0.0, math.nan, math.inf)),
+])
+def test_budgets_and_bounds_reject_a_bad_argument_by_name(user, argument, value):
+    # Without the check, warmup_budget returned a negative budget for a
+    # negative eta and 0 for any eta inside gap/4, and small_alpha_bound a
+    # negative, zero or NaN bound; NaN and 0 failed without naming the
+    # argument.
+    call = BAD_ARGUMENT_USERS[user]
+    call(**{argument: 1.0 if argument == "multiplier" else 0.05})
+    with pytest.raises(ValueError, match=f"^{argument} must be positive and finite"):
+        call(**{argument: value})

@@ -151,38 +151,34 @@ def test_psd_singular_values_equal_eigenvalues(rng):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_step_buffers_are_aligned_copies_in_the_given_order(rng, order):
-    # A factor above one block gets a scratch of one block, not of d rows.
     r = 3
     rows = linalg.block_rows(10**9, r)
-    for d, scratch_rows in ((37, 37), (2 * rows + 5, rows)):
+    for d in (37, 2 * rows + 5):
         x = rng.normal(size=(d, r))
         buffers = linalg.step_buffers(x, order)
-        assert len(buffers) == 3
+        assert len(buffers) == 2
         np.testing.assert_array_equal(buffers[0], x)
-        for b, shape in zip(buffers, [x.shape, x.shape, (scratch_rows, r)]):
-            assert b.shape == shape and b.dtype == np.float64
+        for b in buffers:
+            assert b.shape == x.shape and b.dtype == np.float64
             assert b.flags[f"{order}_CONTIGUOUS"] and b.flags.writeable
             assert b.ctypes.data % linalg.BUFFER_ALIGN == 0
             assert not np.shares_memory(b, x)
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
-        assert buffers[2].shape == linalg.block_scratch(x).shape
+        assert not np.shares_memory(*buffers)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_step_buffers_place_a_pair_side_by_side(rng, order):
     # The two-factor iterate [x | y] has the longer factor's rows; the
-    # shorter one's missing rows are zero, and the scratch is one block of
-    # the joint width.
+    # shorter one's missing rows are zero.
     r = 3
     rows = linalg.block_rows(10**9, 2 * r)
     for d1, d2 in ((5, 5), (7, 4), (4, 7), (2 * rows + 5, rows)):
         x, y = rng.normal(size=(d1, r)), rng.normal(size=(d2, r))
-        z, spare, scratch = linalg.step_buffers(x, order, y)
+        z, spare = linalg.step_buffers(x, order, y)
         d = max(d1, d2)
         assert z.shape == spare.shape == (d, 2 * r)
-        assert scratch.shape == (min(d, rows), 2 * r) == linalg.block_scratch(z).shape
         assert all(b.flags[f"{order}_CONTIGUOUS"] and b.ctypes.data % linalg.BUFFER_ALIGN == 0
-                   for b in (z, spare, scratch))
+                   for b in (z, spare))
         np.testing.assert_array_equal(z[:d1, :r], x)
         np.testing.assert_array_equal(z[:d2, r:], y)
         assert not z[d1:, :r].any() and not z[d2:, r:].any()

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -203,10 +204,11 @@ def test_sigma_split_of_a_dense_operator(rng):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("sandwich", [False, True], ids=["sym", "eig"])
-def test_floor_step_matches_the_dense_update(rng, order, sandwich):
+def test_floor_step_matches_the_dense_update(rng, monkeypatch, order, sandwich):
     # (I + eta Sigma) v - eta v G with G = gram, or G = v^T Sigma v for the
-    # eigenspace; with a scratch of the factor's height and one of 3 rows,
-    # which takes the head in several blocks (the last one partial).
+    # eigenspace; with the map's head in one block, and with it built under
+    # a 1-byte BLOCK_BYTES, whose 8-row blocks take the head in several
+    # blocks (the last one partial).
     d, r, eta = 11, 2, 0.1
     targets = [floor_target(d, True, r), floor_target(d, False, r),
                make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d))]
@@ -216,9 +218,11 @@ def test_floor_step_matches_the_dense_update(rng, order, sandwich):
         gram = v.T @ v
         m = eta * (v.T @ sigma @ v if sandwich else gram)
         want = v + eta * sigma @ v - v @ m
-        step = Sigma(target).floor_step(eta, r)
-        for rows in (d, 3):
-            out = step(v, gram, np.empty_like(v), np.empty_like(v[:rows]), sandwich=sandwich)
+        for block_bytes in (linalg.BLOCK_BYTES, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+                step = Sigma(target).floor_step(eta, r)
+            out = step(v, gram, np.empty_like(v), sandwich=sandwich)
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
 
 
@@ -243,9 +247,9 @@ def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
     op = Sigma(floor_target(d, True, r))
     step = op.floor_step(0.05, r)
     v = np.asarray(rng.normal(size=(d, r)), order=op.factor_order)
-    gram, out, scratch = v.T @ v, np.empty_like(v), np.empty_like(v)
+    gram, out = v.T @ v, np.empty_like(v)
     calls = _count_rows(monkeypatch)
-    step(v, gram, out, scratch, sandwich=sandwich)
+    step(v, gram, out, sandwich=sandwich)
     assert [name for name, rows in calls if rows == d] == ["matmul"]
     assert all(rows <= r for name, rows in calls if rows != d)
 
@@ -262,12 +266,13 @@ def _pair_oracle(x, y, sigma, eta, regularized):
 
 
 @pytest.mark.parametrize("regularized", [True, False])
-def test_pair_step_matches_the_dense_update(rng, regularized):
+def test_pair_step_matches_the_dense_update(rng, monkeypatch, regularized):
     # z A plus the head on the leading rows, against the dense update: a
     # diagonal Sigma over a flat floor and over a sloped tail, a rotated one,
     # and rectangular arrays either way round, whose shorter factor is
-    # zero-padded in z and stays zero there. With a scratch of z's height and
-    # one of 3 rows, which takes the head in several blocks.
+    # zero-padded in z and stays zero there. With the map's head in one
+    # block, and with it built under a 1-byte BLOCK_BYTES, whose 8-row
+    # blocks take the head in several.
     d, r, eta = 11, 2, 0.1
     sources = [floor_target(d, True, r), floor_target(d, False, r),
                make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d)),
@@ -278,11 +283,13 @@ def test_pair_step_matches_the_dense_update(rng, regularized):
         d1, d2 = sigma.shape
         x, y = rng.normal(size=(d1, r)), rng.normal(size=(d2, r))
         want = _pair_oracle(x, y, sigma, eta, regularized)
-        step = op.pair_step(eta, r, regularized)
-        for rows in (d, 3):
-            z, out, _ = linalg.step_buffers(x, op.factor_order, y)
+        for block_bytes in (linalg.BLOCK_BYTES, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+                step = op.pair_step(eta, r, regularized)
+            z, out = op.buffers(x, y)
             out.fill(np.nan)
-            got = step(z, x.T @ x, y.T @ y, out, np.empty_like(z[:rows]))
+            got = step(z, x.T @ x, y.T @ y, out)
             assert got is out
             np.testing.assert_allclose(out[:d1, :r], want[0], rtol=0, atol=1e-14)
             np.testing.assert_allclose(out[:d2, r:], want[1], rtol=0, atol=1e-14)
@@ -292,17 +299,18 @@ def test_pair_step_matches_the_dense_update(rng, regularized):
 def test_flat_floor_pair_step_is_one_matmul(rng, monkeypatch):
     # Over a flat floor both factors step in one matmul of the joint
     # iterate, and no other call touches more than the 2r rows of the head
-    # and the r x r and 2r x 2r multipliers.
+    # and the r x r and 2r x 2r multipliers. The map's head scratch holds
+    # the head's s = r rows of both factors.
     d, r = 5000, 4
     op = Sigma(floor_target(d, True, r), svd=True)
     x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
-    z, out, scratch = linalg.step_buffers(x, op.factor_order, y)
-    assert scratch.shape == z.shape
+    z, out = op.buffers(x, y)
     for regularized in (True, False):
         step, grams = op.pair_step(0.05, r, regularized), (x.T @ x, y.T @ y)
+        assert inspect.getclosurevars(step).nonlocals["scratch"].shape == (r, 2 * r)
         with monkeypatch.context() as patch:
             calls = _count_rows(patch)
-            step(z, *grams, out, scratch)
+            step(z, *grams, out)
         assert [name for name, rows in calls if rows == d] == ["matmul"]
         assert all(rows <= 2 * r for name, rows in calls if rows != d)
 
