@@ -66,15 +66,15 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
         Y' = Y + eta (Sigma - X Y^T)^T X + (eta/2) Y (X^T X - Y^T Y)
     The unregularized variant drops the (eta/2) terms. ``sigma`` is a
     Target or an array. The step is ``Sigma.pair_step`` on the joint
-    iterate [X | Y] from ``Sigma.buffers``, with the Grams formed as
-    the error closure forms them, as in ``run_asym``, so a run equals
+    iterate [X | Y] from ``linalg.step_buffers``, with the Grams formed
+    as the error closure forms them, as in ``run_asym``, so a run equals
     repeated steps bit for bit.
     """
     op = Sigma(sigma, svd=True)
     d1, d2, r = state.x.shape[0], state.y.shape[0], state.rank
     op.check_shape(d1, d2)
     step = op.pair_step(eta, r, regularized)
-    z, out = op.buffers(state.x, state.y)
+    z, out = linalg.step_buffers(state.x, state.y)
     step(z, *_grams(op, r, z[:d1, :r], z[:d2, r:]), out)
     return AsymState(out[:d1, :r], out[:d2, r:])
 
@@ -185,7 +185,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     err_fn = _error_fn(op, r)
     epsilon = config.epsilon
     step = op.pair_step(config.eta, r, regularized)
-    z0, spare = op.buffers(state0.x, state0.y)
+    z0, spare = linalg.step_buffers(state0.x, state0.y)
 
     def measure(z):
         err, aux = err_fn(z[:d1, :r], z[:d2, r:])

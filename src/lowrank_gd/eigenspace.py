@@ -9,8 +9,8 @@ square root of the target maps one retraction-free step onto one step of
 the symmetric factored iteration, which is used as a per-step oracle.
 
 Both methods apply the target through ``spectrum.Sigma`` and keep their
-frames in the buffers it hands out, and ``run_eig`` is a thin caller of
-the shared ``engine.iterate``.
+frames in the column-major buffers of ``linalg.step_buffers``, and
+``run_eig`` is a thin caller of the shared ``engine.iterate``.
 """
 
 import math
@@ -57,11 +57,11 @@ class EigRecord:
 
 def rf_step(state: EigState, sigma, eta: float) -> EigState:
     """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
-    Target or a symmetric array. The step runs in ``Sigma.buffers``, as
-    ``run_eig`` does, so a run equals repeated steps bit for bit."""
+    Target or a symmetric array. The step runs in ``linalg.step_buffers``,
+    as ``run_eig`` does, so a run equals repeated steps bit for bit."""
     op = Sigma(sigma)
     op.check_shape(state.dim)
-    l, out = op.buffers(state.l)
+    l, out = linalg.step_buffers(state.l)
     # The Gram L^T L is formed as the error closure forms it in ``run_eig``.
     return EigState(op.floor_step(eta, state.rank)(l, l.T @ l, out, sandwich=True))
 
@@ -69,7 +69,8 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
 def retract(l_tilde) -> np.ndarray:
     """Pull a full-rank frame back onto the Stiefel manifold:
     L = L~ (L~^T L~)^(-1/2), the polar retraction. Raises on rank-deficient
-    or non-finite input. The result keeps the frame's memory layout."""
+    or non-finite input. The result is a new array in the frame's memory
+    layout, so a run's column-major frame retracts into a column-major one."""
     l_tilde = linalg.as_matrix(l_tilde, "frame")
     return _polar(l_tilde, linalg.spd_inv_sqrt(l_tilde.T @ l_tilde))
 
@@ -82,15 +83,15 @@ def _retract_lean(l: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def _polar(l: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """l @ inv_sqrt in a new array with l's memory layout, never one of the
-    run's step buffers."""
+    """l @ inv_sqrt in a new array with l's memory layout (column-major for
+    a run's frame), never one of the run's step buffers."""
     return np.matmul(l, inv_sqrt, out=np.empty_like(l))
 
 
 def rgd_step(state: EigState, sigma, eta: float) -> EigState:
     """Retract the frame, then apply the Riemannian gradient update. Both
-    run in the layout of ``Sigma.buffers``, as in ``run_eig``."""
-    return rf_step(EigState(retract(Sigma(sigma).buffers(state.l)[0])), sigma, eta)
+    run on a copy in ``linalg.step_buffers``, as in ``run_eig``."""
+    return rf_step(EigState(retract(linalg.step_buffers(state.l)[0])), sigma, eta)
 
 
 def proj_error(state: EigState, oracle: RankROracle) -> float:
@@ -151,7 +152,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         EigRecords of the projection error at the recording cadence;
         ``wall_time`` measures the iteration loop only (the retraction
         included), so benchmark comparisons exclude setup. Frames live in
-        ``Sigma.buffers``.
+        ``linalg.step_buffers``.
 
     Raises
     ------
@@ -169,7 +170,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon
     step = op.floor_step(eta, state0.rank)
-    l0, spare = op.buffers(state0.l)
+    l0, spare = linalg.step_buffers(state0.l)
 
     def measure(l):
         if retracted:

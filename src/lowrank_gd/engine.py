@@ -11,7 +11,6 @@ import numbers
 import time
 from dataclasses import dataclass
 
-import numpy as np
 
 # Iterates whose Frobenius norm reaches this are treated as diverged. The
 # solver fails loudly instead of overflowing when users pass step sizes
@@ -59,12 +58,6 @@ class Trace:
     final_error: float
     wall_time: float
     final_state: object
-
-    def errors(self) -> np.ndarray:
-        return np.array([rec.error for rec in self.records])
-
-    def iters(self) -> np.ndarray:
-        return np.array([rec.iter for rec in self.records])
 
     def iterations_to(self, tol: float):
         """First recorded iteration whose error is <= tol, or None."""

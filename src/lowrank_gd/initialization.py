@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import Target, check_eta
-from .sym_gd import FactorState, block_values, eigen_blocks
+from .sym_gd import FactorState, block_values, eigen_blocks, whole_budget
 
 
 def gaussian_factor(d: int, r: int, seed: int) -> np.ndarray:
@@ -116,7 +116,8 @@ def check_condition_1(state0: FactorState, target: Target, eta: float) -> Condit
 def warmup_budget(state0: FactorState, target: Target, eta: float) -> int:
     """Iterations needed for the signal block U (the top r rows in the
     target's eigenbasis coordinates) to clear gap/4, with the printed
-    constant; zero when it already does (a bad eta raises even then)."""
+    constant; zero when it already does (a bad eta raises even then). An
+    eta small enough to put the budget beyond the float range raises."""
     check_eta(eta)
     sru2 = block_values(eigen_blocks(state0, target))[2] ** 2
     gap = target.gap
@@ -124,4 +125,6 @@ def warmup_budget(state0: FactorState, target: Target, eta: float) -> int:
         return 0
     if sru2 <= 0:
         raise ValueError("warm-up budget needs a nonsingular signal block")
-    return math.ceil((2.0 / (eta * gap)) * math.log(gap / (4.0 * sru2)))
+    rate = eta * gap
+    budget = (2.0 / rate) * math.log(gap / (4.0 * sru2)) if rate > 0 else math.inf
+    return whole_budget(budget, f"eta={eta}")

@@ -1,10 +1,10 @@
 """Dense matrix kernels shared by every solver module.
 
 All routines operate on plain 2-D float64 numpy arrays and are pure
-functions of their inputs, apart from the aligned allocations that
-``spectrum.Sigma`` asks for. Decompositions are delegated to LAPACK via
-numpy; the wrappers pin down validation, ordering conventions, and the
-error behaviour the solvers rely on.
+functions of their inputs, apart from the aligned column-major buffers
+every step runs in. Decompositions are delegated to LAPACK via numpy; the
+wrappers pin down validation, ordering conventions, and the error
+behaviour the solvers rely on.
 """
 
 import numpy as np
@@ -88,25 +88,29 @@ def block_rows(n: int, width: int) -> int:
     return min(n, max(8, BLOCK_BYTES // (8 * width) // 8 * 8))
 
 
-def aligned_empty(rows: int, cols: int, order: str) -> np.ndarray:
-    """An uninitialized float64 ``rows`` x ``cols`` array in memory order
-    ``order`` that starts on a ``BUFFER_ALIGN``-byte boundary."""
+def aligned_empty(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized column-major float64 ``rows`` x ``cols`` array that
+    starts on a ``BUFFER_ALIGN``-byte boundary."""
     size = rows * cols * 8
     raw = np.empty(size + BUFFER_ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % BUFFER_ALIGN
-    return raw[start:start + size].view(np.float64).reshape((rows, cols), order=order)
+    return raw[start:start + size].view(np.float64).reshape((rows, cols), order="F")
 
 
-def step_buffers(x, order: str, y=None) -> tuple:
-    """A run's two float64 buffers in memory order ``order``, each from
-    ``aligned_empty``: the first iterate and the uninitialized spare shaped
-    like it, into which each step writes the next iterate. The iterate is a
-    copy of ``x``, or with ``y`` the two-factor iterate [x | y]: the factors
-    side by side, as many rows as the longer one, the shorter one's missing
-    rows zero."""
+def step_buffers(x, y=None) -> tuple:
+    """A run's or a single step's two buffers, each from ``aligned_empty``:
+    the first iterate and the uninitialized spare shaped like it, into which
+    each step writes the next iterate. The iterate is a copy of ``x``, or
+    with ``y`` the two-factor iterate [x | y]: the factors side by side, as
+    many rows as the longer one, the shorter one's missing rows zero.
+    Column-major, whatever the operator: a diagonal Sigma's elementwise
+    products then run down contiguous columns (1.8x faster than along
+    r-element rows at d=20000, r=10), each factor of [x | y] is one
+    contiguous half, and the step matmul took 126-141 us there against
+    223 us row-major; dense runs at d=500-1000 were level or faster."""
     parts = [np.asarray(p, dtype=np.float64) for p in ((x,) if y is None else (x, y))]
     d, width = max(p.shape[0] for p in parts), sum(p.shape[1] for p in parts)
-    z, spare = aligned_empty(d, width, order), aligned_empty(d, width, order)
+    z, spare = aligned_empty(d, width), aligned_empty(d, width)
     col = 0
     for p in parts:
         n, cols = p.shape

@@ -117,9 +117,9 @@ class Sigma:
     flat floor plus a head, mu I + R (``split``), so each step is one
     matmul of the iterate plus a product on the head's rows: ``floor_step``
     for the symmetric and eigenspace steps, ``pair_step`` for the
-    two-factor one, whose iterate holds both factors side by side. Sigma
-    owns a step's memory: each map keeps its own head scratch, and
-    ``buffers`` makes a run's iterate and spare.
+    two-factor one, whose iterate holds both factors side by side. Each
+    map keeps its own head scratch; the iterate and its spare come from
+    ``linalg.step_buffers``, column-major like the scratch.
     """
 
     def __init__(self, source, svd: bool = False):
@@ -144,38 +144,6 @@ class Sigma:
             self.matrix = a
         self._identity_basis = self.diag is not None
 
-    @property
-    def factor_order(self) -> str:
-        """Memory order of every buffer this operator hands out: the
-        symmetric and two-factor iterates, the eigenspace frames and the
-        step maps' head scratch, in runs and in the single steps. "F" for a
-        diagonal operator: its elementwise products (the head of a spectrum
-        without a flat floor) then run down contiguous columns, not
-        r-element rows (1.8x faster at d=20000, r=10), each factor of the
-        two-factor iterate [X | Y] is one contiguous half, and the step's
-        v K matmul took 126-141 us there against 223 us on "C". The
-        eigenspace Gram rounds differently on "F" (the shipped projection
-        errors moved by up to 6.3e-11). "C" for a dense one, whose products
-        would round differently on "F"."""
-        return "F" if self.diag is not None else "C"
-
-    def buffers(self, x, y=None) -> tuple:
-        """A run's or a single step's iterate, a copy of ``x`` (with ``y``,
-        [x | y]), and its spare: ``linalg.step_buffers`` in ``factor_order``."""
-        return linalg.step_buffers(x, self.factor_order, y)
-
-    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sigma @ v, written into ``out`` when given."""
-        if self.diag is not None:
-            return np.multiply(self.diag[:, None], v, out=out)
-        return np.matmul(self.matrix, v, out=out)
-
-    def apply_t(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sigma^T @ v, written into ``out`` when given."""
-        if self.diag is not None:
-            return np.multiply(self.diag[:, None], v, out=out)
-        return np.matmul(self.matrix.T, v, out=out)
-
     def split(self):
         """Sigma as mu I + R, returned as ``(mu, s, R)``: R is nonzero only
         on its leading ``s`` rows. A diagonal operator's mu is its last
@@ -199,17 +167,17 @@ class Sigma:
         step, gram = L^T L). Since the rows past s of I + eta Sigma are the
         scalar 1 + eta mu, the update is one matmul,
         v ((1 + eta mu) I - M) into ``out``, plus eta R v added to the
-        leading s rows. That product is formed in the map's head scratch,
-        so no step allocates a d x r array: once for both uses when the
-        head fits one block (every spiked spectrum), else once per use in
-        row blocks, with each block's rows of the matmul formed while the
-        block sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric
+        leading s rows. That product is formed in the map's column-major
+        head scratch, so no step allocates a d x r array: once for both
+        uses when the head fits one block (every spiked spectrum), else once
+        per use in row blocks, with each block's rows of the matmul formed
+        while the block sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric
         step 335 us against 393 us for the earlier x + eta Sigma x - x M,
         and eigenspace 581 against 987)."""
         check_eta(eta)
         mu, s, rest = self.split()
         scale = (1.0 + eta * mu) * np.eye(rank)
-        scratch = linalg.aligned_empty(linalg.block_rows(s, rank), rank, self.factor_order)
+        scratch = linalg.aligned_empty(linalg.block_rows(s, rank), rank)
         if self.diag is not None:
             col = (eta * rest)[:, None]
 
@@ -248,15 +216,16 @@ class Sigma:
         """The two-factor update for step size ``eta`` on factors of ``rank``
         columns, built once per run: the map ``(z, gram_x, gram_y, out) ->
         out`` on the joint iterate z = [X | Y], d x 2r with d the longer
-        factor's rows, the shorter factor's missing rows zero (``buffers``).
+        factor's rows, the shorter factor's missing rows zero
+        (``linalg.step_buffers``).
         With ``split`` = (mu, s, R) the update is one matmul, z A into
         ``out`` with A = [[I - M_x, eta mu I], [eta mu I, I - M_y]], plus
         eta R Y added to X's columns and eta R^T X to Y's on the leading s
         rows (a dense Sigma: mu = 0, every real row), formed beside each
-        other in row blocks of the map's head scratch. Regularized,
-        M_x = M_y = (eta/2)(G_x + G_y), which is eta G_y + (eta/2)(G_x - G_y)
-        and eta G_x - (eta/2)(G_x - G_y): the balancing term folds into the
-        r x r multiplier. Unregularized, M_x = eta G_y and M_y = eta G_x.
+        other in row blocks of the map's column-major head scratch.
+        Regularized, M_x = M_y = (eta/2)(G_x + G_y), which is
+        eta G_y + (eta/2)(G_x - G_y) and eta G_x - (eta/2)(G_x - G_y): the
+        balancing term folds into the r x r multiplier. Unregularized, M_x = eta G_y and M_y = eta G_x.
         Padding rows stay zero, since mu = 0 whenever the factors differ in
         length and the head writes real rows only."""
         check_eta(eta)
@@ -282,7 +251,7 @@ class Sigma:
                     np.matmul(mat[start:start + real], v, out=half[:real])
                     half[real:] = 0.0
                 return np.multiply(eta, block, out=block)
-        scratch = linalg.aligned_empty(linalg.block_rows(s, 2 * r), 2 * r, self.factor_order)
+        scratch = linalg.aligned_empty(linalg.block_rows(s, 2 * r), 2 * r)
 
         def step(z, gram_x, gram_y, out):
             a = multiplier.copy()

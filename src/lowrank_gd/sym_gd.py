@@ -68,7 +68,7 @@ def gd_step(state: FactorState, target, eta: float) -> FactorState:
     op.check_shape(state.dim)
     # Buffers and, for a Target, the Gram from the error's blocks as in
     # ``run``, so a run equals repeated steps; an array has no eigenbasis.
-    x, out = op.buffers(state.x)
+    x, out = linalg.step_buffers(state.x)
     gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
     return FactorState(op.floor_step(eta, state.rank)(x, gram, out))
 
@@ -141,13 +141,26 @@ def signal_residual(state: FactorState, target: Target) -> float:
 def local_iteration_budget(target: Target, eta: float, epsilon: float) -> int:
     """Iterations guaranteed to reach the given error from inside the
     absorbing region, with the analysis' printed constants; eta and
-    epsilon must be positive and finite."""
+    epsilon must be positive and finite, and not so small that the budget
+    leaves the float range."""
     check_eta(eta)
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     lam1, gap, r = target.lambda_top, target.gap, target.rank
-    arg = 200.0 * r * lam1 ** 2 / (eta * gap ** 2 * epsilon)
-    return max(0, math.ceil((6.0 / (eta * gap)) * math.log(arg)))
+    scale = eta * gap ** 2 * epsilon
+    # scale > 0 implies eta * gap > 0; a product that underflows to 0
+    # leaves the budget beyond the float range, as an overflow does.
+    budget = (6.0 / (eta * gap)) * math.log(200.0 * r * lam1 ** 2 / scale) if scale > 0 else math.inf
+    return whole_budget(budget, f"eta={eta} and epsilon={epsilon}")
+
+
+def whole_budget(budget: float, args: str) -> int:
+    """An iteration budget formed as a float, rounded up to a count of at
+    least 0. Raises ValueError naming ``args`` when it is not finite, as a
+    positive but tiny eta or epsilon makes it."""
+    if not math.isfinite(budget):
+        raise ValueError(f"the iteration budget for {args} lies beyond the float range ({budget})")
+    return max(0, math.ceil(budget))
 
 
 def approximation_error(state: FactorState, target: Target) -> float:
@@ -226,7 +239,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
     step = op.floor_step(eta, state0.rank)
-    x0, spare = op.buffers(state0.x)
+    x0, spare = linalg.step_buffers(state0.x)
 
     def measure(x):
         err, blocks = err_fn(x)

@@ -1,5 +1,6 @@
 """Shared helpers for sampling targets and states in the theory's regimes."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -20,6 +21,30 @@ from lowrank_gd import (
 )
 from lowrank_gd import linalg
 from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK
+
+
+def openblas_core() -> str:
+    """Core name of the OpenBLAS kernel that numpy loaded (``SkylakeX``,
+    ``Haswell``, ...), read through ctypes from the BLAS library mapped into
+    this process, or "unknown". An OpenBLAS built with DYNAMIC_ARCH picks
+    its kernel by CPU at load time; ``OPENBLAS_CORETYPE`` overrides it."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
 
 
 def floor_target(d, flat, r=10):

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import floor_target, multi_block_target, random_orthogonal, random_psd_target
 from lowrank_gd import (
+    AsymState,
     DivergenceError,
     EigState,
+    FactorState,
     SolverConfig,
     best_rank_r,
     gaussian_factor,
@@ -18,6 +20,8 @@ from lowrank_gd import (
     retract,
     rf_step,
     rgd_step,
+    run,
+    run_asym,
     run_eig,
 )
 from lowrank_gd.eigenspace import _proj_error_fn, _retract_lean
@@ -204,18 +208,22 @@ STEPS = {"retraction_free": rf_step, "rgd": rgd_step}
 def test_run_matches_repeated_steps(method):
     # The run steps in two reused buffers through the shared update kernel;
     # every recorded error and the final frame match fresh rf_step/rgd_step
-    # calls bit for bit (rgd records and returns the retracted frame).
-    target = make_diagonal_target(np.concatenate([np.linspace(7.0, 2.0, 5), np.ones(45)]), 50, 5)
-    err_fn = _proj_error_fn(target)
-    manual = EigState(gaussian_factor(50, 5, seed=2))
-    trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=60), method=method)
-    assert trace.iterations == 60
-    for t, rec in enumerate(trace.records):
-        if t:
-            manual = STEPS[method](manual, target, 0.05)
-        frame = retract(manual.l) if method == "rgd" else manual.l
-        assert rec.iter == t and rec.proj_error == err_fn(frame)[0]
-    np.testing.assert_array_equal(trace.final_state.l, frame)
+    # calls bit for bit (rgd records and returns the retracted frame), on a
+    # diagonal target and on a rotated one, which steps through its dense
+    # matrix.
+    values = np.concatenate([np.linspace(7.0, 2.0, 5), np.ones(45)])
+    for target in (make_diagonal_target(values, 50, 5),
+                   make_target(values, 5, basis=random_orthogonal(np.random.default_rng(5), 50))):
+        err_fn = _proj_error_fn(target)
+        manual = EigState(gaussian_factor(50, 5, seed=2))
+        trace = run_eig(manual, target, SolverConfig(eta=0.05, epsilon=1e-14, max_iters=60), method=method)
+        assert trace.iterations == 60
+        for t, rec in enumerate(trace.records):
+            if t:
+                manual = STEPS[method](manual, target, 0.05)
+            frame = retract(manual.l) if method == "rgd" else manual.l
+            assert rec.iter == t and rec.proj_error == err_fn(frame)[0]
+        np.testing.assert_array_equal(trace.final_state.l, frame)
 
 
 @pytest.mark.parametrize("method", ["retraction_free", "rgd"])
@@ -269,14 +277,28 @@ def test_run_eig_leaves_state0_untouched(method, iters):
 
 @pytest.mark.parametrize("method", ["retraction_free", "rgd"])
 def test_run_eig_frames_follow_the_factor_order(rng, method):
-    # Column-major for a diagonal target, whose diagonal multiply then runs
-    # down contiguous columns; row-major for a rotated one.
+    # Eigenspace frames follow the factors' one layout, column-major, on a
+    # diagonal target and on a rotated (dense) one, from a row-major start.
     values = [3.0, 2.0, 1.0, 0.5, 0.2, 0.1]
     cfg = SolverConfig(eta=0.05, epsilon=1e-14, max_iters=3)
     l0 = np.array(gaussian_factor(6, 2, seed=3), order="C")
-    for target, flag in ((make_diagonal_target(values, 6, 2), "F_CONTIGUOUS"),
-                         (make_target(values, 2, random_orthogonal(rng, 6)), "C_CONTIGUOUS")):
-        assert run_eig(EigState(l0), target, cfg, method=method).final_state.l.flags[flag]
+    for target in (make_diagonal_target(values, 6, 2), make_target(values, 2, random_orthogonal(rng, 6))):
+        assert run_eig(EigState(l0), target, cfg, method=method).final_state.l.flags["F_CONTIGUOUS"]
+
+
+def test_every_run_ends_in_a_column_major_iterate(rng):
+    # One buffer layout for every operator: the symmetric and two-factor runs
+    # step in column-major buffers too, on a diagonal target and on a rotated
+    # (dense) one, from row-major starts.
+    values = [3.0, 2.0, 1.0, 0.5, 0.2, 0.1]
+    cfg = SolverConfig(eta=0.05, epsilon=1e-14, max_iters=3)
+    x0 = np.array(gaussian_factor(6, 2, seed=3), order="C")
+    y0 = np.array(gaussian_factor(6, 2, seed=4), order="C")
+    for target in (make_diagonal_target(values, 6, 2), make_target(values, 2, random_orthogonal(rng, 6))):
+        pair = run_asym(AsymState(x0, y0), target, cfg).final_state
+        finals = {"sym": run(FactorState(x0), target, cfg).final_state.x, "asym x": pair.x, "asym y": pair.y}
+        for name, final in finals.items():
+            assert final.flags["F_CONTIGUOUS"], name
 
 
 def test_run_eig_rgd_overflow_raises_divergence_with_trace():

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -230,3 +231,17 @@ def test_budgets_and_bounds_reject_a_bad_argument_by_name(user, argument, value)
     call(**{argument: 1.0 if argument == "multiplier" else 0.05})
     with pytest.raises(ValueError, match=f"^{argument} must be positive and finite"):
         call(**{argument: value})
+
+
+@pytest.mark.parametrize("user, argument, value", [
+    ("warmup_budget", "eta", 1e-320),
+    ("local_iteration_budget", "epsilon", 1e-320),
+    ("local_iteration_budget", "eta", 1e-300),
+    ("local_iteration_budget", "eta", 1e-320),
+])
+def test_budgets_name_a_tiny_argument_that_overflows_them(user, argument, value):
+    # Positive and finite, yet the budget leaves the float range: math.ceil
+    # raised OverflowError on the infinite budget, and the last case
+    # ZeroDivisionError on a denominator that underflowed to 0.
+    with pytest.raises(ValueError, match=re.escape(f"{argument}={value}")):
+        BAD_ARGUMENT_USERS[user](**{argument: value})

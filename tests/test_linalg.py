@@ -149,35 +149,33 @@ def test_psd_singular_values_equal_eigenvalues(rng):
     np.testing.assert_allclose(linalg.singular_values(s), w, atol=1e-10)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_step_buffers_are_aligned_copies_in_the_given_order(rng, order):
+def test_step_buffers_are_aligned_column_major_copies(rng):
     r = 3
     rows = linalg.block_rows(10**9, r)
     for d in (37, 2 * rows + 5):
         x = rng.normal(size=(d, r))
-        buffers = linalg.step_buffers(x, order)
+        buffers = linalg.step_buffers(x)
         assert len(buffers) == 2
         np.testing.assert_array_equal(buffers[0], x)
         for b in buffers:
             assert b.shape == x.shape and b.dtype == np.float64
-            assert b.flags[f"{order}_CONTIGUOUS"] and b.flags.writeable
+            assert b.flags["F_CONTIGUOUS"] and b.flags.writeable
             assert b.ctypes.data % linalg.BUFFER_ALIGN == 0
             assert not np.shares_memory(b, x)
         assert not np.shares_memory(*buffers)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_step_buffers_place_a_pair_side_by_side(rng, order):
+def test_step_buffers_place_a_pair_side_by_side(rng):
     # The two-factor iterate [x | y] has the longer factor's rows; the
     # shorter one's missing rows are zero.
     r = 3
     rows = linalg.block_rows(10**9, 2 * r)
     for d1, d2 in ((5, 5), (7, 4), (4, 7), (2 * rows + 5, rows)):
         x, y = rng.normal(size=(d1, r)), rng.normal(size=(d2, r))
-        z, spare = linalg.step_buffers(x, order, y)
+        z, spare = linalg.step_buffers(x, y)
         d = max(d1, d2)
         assert z.shape == spare.shape == (d, 2 * r)
-        assert all(b.flags[f"{order}_CONTIGUOUS"] and b.ctypes.data % linalg.BUFFER_ALIGN == 0
+        assert all(b.flags["F_CONTIGUOUS"] and b.ctypes.data % linalg.BUFFER_ALIGN == 0
                    for b in (z, spare))
         np.testing.assert_array_equal(z[:d1, :r], x)
         np.testing.assert_array_equal(z[:d2, r:], y)

@@ -136,36 +136,6 @@ def test_basis_must_be_orthonormal():
 
 # --- Sigma operator -------------------------------------------------------------
 
-def test_sigma_products_match_the_dense_matrix(rng):
-    values = [3.0, 2.0, 1.0, -0.5]
-    v = rng.normal(size=(4, 2))
-    for target in (make_diagonal_target(values, 4, 2),
-                   make_target(values, 2, basis=random_orthogonal(rng, 4))):
-        for svd in (False, True):
-            op = Sigma(target, svd=svd)
-            np.testing.assert_allclose(op.apply(v), target.matrix @ v, atol=1e-14)
-            np.testing.assert_allclose(op.apply_t(v), target.matrix.T @ v, atol=1e-14)
-    rect = rng.normal(size=(3, 4))
-    op = Sigma(rect, svd=True)
-    np.testing.assert_allclose(op.apply(v), rect @ v)
-    w = rng.normal(size=(3, 2))
-    np.testing.assert_allclose(op.apply_t(w), rect.T @ w)
-
-
-def test_sigma_products_write_into_out(rng):
-    values = [3.0, 2.0, 1.0, -0.5]
-    v, w = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
-    cases = [(Sigma(make_diagonal_target(values, 4, 2)), v, v),
-             (Sigma(make_target(values, 2, basis=random_orthogonal(rng, 4))), v, v),
-             (Sigma(rng.normal(size=(3, 4)), svd=True), v, w)]
-    for op, right, left in cases:
-        for product, arg in ((op.apply, right), (op.apply_t, left)):
-            want = product(arg)
-            buf = np.empty_like(want)
-            assert product(arg, out=buf) is buf
-            np.testing.assert_array_equal(buf, want)
-
-
 def test_sigma_path_choice():
     nonneg = make_diagonal_target([3.0, 2.0, 1.0, 0.0], 4, 2)
     indefinite = make_diagonal_target([3.0, 2.0, 1.0, -5.0], 4, 2)
@@ -246,7 +216,7 @@ def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
     d, r = 5000, 4
     op = Sigma(floor_target(d, True, r))
     step = op.floor_step(0.05, r)
-    v = np.asarray(rng.normal(size=(d, r)), order=op.factor_order)
+    v = np.asarray(rng.normal(size=(d, r)), order="F")
     gram, out = v.T @ v, np.empty_like(v)
     calls = _count_rows(monkeypatch)
     step(v, gram, out, sandwich=sandwich)
@@ -287,7 +257,7 @@ def test_pair_step_matches_the_dense_update(rng, monkeypatch, regularized):
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
                 step = op.pair_step(eta, r, regularized)
-            z, out = op.buffers(x, y)
+            z, out = linalg.step_buffers(x, y)
             out.fill(np.nan)
             got = step(z, x.T @ x, y.T @ y, out)
             assert got is out
@@ -304,7 +274,7 @@ def test_flat_floor_pair_step_is_one_matmul(rng, monkeypatch):
     d, r = 5000, 4
     op = Sigma(floor_target(d, True, r), svd=True)
     x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
-    z, out = op.buffers(x, y)
+    z, out = linalg.step_buffers(x, y)
     for regularized in (True, False):
         step, grams = op.pair_step(0.05, r, regularized), (x.T @ x, y.T @ y)
         assert inspect.getclosurevars(step).nonlocals["scratch"].shape == (r, 2 * r)

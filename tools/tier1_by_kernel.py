@@ -32,27 +32,9 @@ KERNELS = {
     "Sandybridge": ("avx",),
 }
 
-# Prints the core name of the OpenBLAS that numpy loaded, or "unknown".
-_CORENAME = r"""
-import ctypes, numpy
-name = "unknown"
-paths = sorted({l.split()[-1] for l in open("/proc/self/maps") if "blas" in l.lower() and "/" in l})
-for path in paths:
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
-        continue
-    for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                   "openblas_get_corename64_", "openblas_get_corename"):
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            fn.restype = ctypes.c_char_p
-            name = fn().decode()
-            break
-    if name != "unknown":
-        break
-print(name)
-"""
+# Prints the core name of the OpenBLAS that numpy loaded, or "unknown", as
+# the golden test reads it: argv[1] is the tests directory.
+_CORENAME = "import sys; sys.path.insert(0, sys.argv[1]); from conftest import openblas_core; print(openblas_core())"
 
 
 def cpu_flags() -> set:
@@ -64,7 +46,8 @@ def cpu_flags() -> set:
 
 
 def loaded_core(env: dict) -> str:
-    proc = subprocess.run([sys.executable, "-c", _CORENAME], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _CORENAME, str(ROOT / "tests")],
+                          capture_output=True, text=True, env=env)
     return proc.stdout.strip() or "unknown"
 
 
