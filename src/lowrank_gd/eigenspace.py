@@ -68,29 +68,29 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
 
 def retract(l_tilde) -> np.ndarray:
     """Pull a full-rank frame back onto the Stiefel manifold:
-    L = L~ (L~^T L~)^(-1/2), the polar retraction. Raises on rank-deficient
-    or non-finite input. The result is a new array in the frame's memory
-    layout, so a run's column-major frame retracts into a column-major one."""
+    L = L~ (L~^T L~)^(-1/2), the polar retraction (Absil, Mahony and
+    Sepulchre, 2008, §4.1). Raises ValueError on a non-finite frame, a
+    frame whose Gram L~^T L~ is not finite, or a rank-deficient one. The
+    result is a new array in the frame's memory layout."""
     l_tilde = linalg.as_matrix(l_tilde, "frame")
-    return _polar(l_tilde, linalg.spd_inv_sqrt(l_tilde.T @ l_tilde))
+    gram = l_tilde.T @ l_tilde
+    if not np.isfinite(gram).all():
+        raise ValueError("frame Gram L^T L has non-finite entries")
+    return _retract_lean(l_tilde, gram)
 
 
 def _retract_lean(l: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """``retract(l)`` given the finite Gram l^T l, without the input
-    validation: the same symmetrization, rank test and product, so the same
-    bits. The retracted loop calls this on the frame it has just formed."""
-    return _polar(l, linalg.inv_sqrt_symmetric(0.5 * (gram + gram.T)))
-
-
-def _polar(l: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """l @ inv_sqrt in a new array with l's memory layout (column-major for
-    a run's frame), never one of the run's step buffers."""
-    return np.matmul(l, inv_sqrt, out=np.empty_like(l))
+    """The polar retraction's one core: l (l^T l)^(-1/2) given the finite
+    Gram l^T l, without ``retract``'s input checks, into a new array with
+    l's memory layout (column-major for a run's frame), never one of the
+    run's step buffers. Raises ValueError on a rank-deficient Gram. The
+    retracted loop calls this on the frame and Gram it has just formed."""
+    return np.matmul(l, linalg.inv_sqrt_symmetric(gram), out=np.empty_like(l))
 
 
 def rgd_step(state: EigState, sigma, eta: float) -> EigState:
-    """Retract the frame, then apply the Riemannian gradient update. Both
-    run on a copy in ``linalg.step_buffers``, as in ``run_eig``."""
+    """``retract`` the frame, then apply the Riemannian gradient update.
+    Both run on a copy in ``linalg.step_buffers``, as in ``run_eig``."""
     return rf_step(EigState(retract(linalg.step_buffers(state.l)[0])), sigma, eta)
 
 

@@ -120,17 +120,6 @@ def step_buffers(x, y=None) -> tuple:
     return z, spare
 
 
-def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    drift = float(np.max(np.abs(a - a.T)))
-    if drift > SYMMETRY_TOL:
-        raise ValueError(
-            f"{name} is not symmetric: max |S - S^T| = {drift:.3e} > {SYMMETRY_TOL:.0e}"
-        )
-    return 0.5 * (a + a.T)
-
-
 def svd(m):
     """Thin SVD ``m = left @ diag(s) @ right.T`` with descending ``s``."""
     a = as_matrix(m)
@@ -145,24 +134,31 @@ def spd_inv_sqrt(s) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
     Returns the symmetric ``R`` with ``R @ S @ R = I``. Raises ValueError
-    on a non-square, non-finite or asymmetric input, and when the smallest
-    eigenvalue is at or below ``SPD_MIN_EIG`` times the largest, which for
-    the retraction use case signals a rank-deficient frame. The test is
-    relative, so a full-rank frame of any scale passes, as the retraction
-    L (L^T L)^(-1/2) is scale-invariant.
+    on an input that is not 2-D, not finite, not square or not symmetric
+    within ``SYMMETRY_TOL``, and when the smallest eigenvalue is at or
+    below ``SPD_MIN_EIG`` times the largest, which for a Gram signals a
+    rank-deficient frame. The test is relative, so a full-rank frame of any
+    scale passes, as the retraction L (L^T L)^(-1/2) is scale-invariant.
     """
-    a = _require_symmetric(as_matrix(s, "spd_inv_sqrt input"), "spd_inv_sqrt input")
+    a = as_matrix(s, "spd_inv_sqrt input")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"spd_inv_sqrt input must be square, got shape {a.shape}")
+    drift = float(np.max(np.abs(a - a.T)))
+    if drift > SYMMETRY_TOL:
+        raise ValueError(
+            f"spd_inv_sqrt input is not symmetric: max |S - S^T| = {drift:.3e} > {SYMMETRY_TOL:.0e}"
+        )
     return inv_sqrt_symmetric(a)
 
 
 def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
-    """``spd_inv_sqrt`` of an input already known to be a finite, exactly
-    symmetric square matrix: eigh, the relative rank test, (v / sqrt(w)) v^T,
-    then symmetrize. The retracted eigenspace loop calls this on the Gram it
-    has just formed and symmetrized; it raises the same ValueError on a
-    rank-deficient input."""
+    """``spd_inv_sqrt`` of a finite square matrix known to be symmetric up
+    to rounding, without the checks: symmetrize, eigh, the relative rank
+    test, (v / sqrt(w)) v^T, then symmetrize the result. Raises the same
+    ValueError on a rank-deficient input. The polar retraction
+    (``eigenspace._retract_lean``) calls this on the Gram it has formed."""
     try:
-        w, v = np.linalg.eigh(a)
+        w, v = np.linalg.eigh(0.5 * (a + a.T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"symmetric eigensolve did not converge: {exc}") from exc
     if w[0] <= SPD_MIN_EIG * w[-1]:

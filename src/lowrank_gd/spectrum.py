@@ -169,15 +169,17 @@ class Sigma:
         v ((1 + eta mu) I - M) into ``out``, plus eta R v added to the
         leading s rows. That product is formed in the map's column-major
         head scratch, so no step allocates a d x r array: once for both
-        uses when the head fits one block (every spiked spectrum), else once
-        per use in row blocks, with each block's rows of the matmul formed
-        while the block sits in L2 (d=20000, r=10, strictly decreasing tail: symmetric
-        step 335 us against 393 us for the earlier x + eta Sigma x - x M,
-        and eigenspace 581 against 987)."""
+        uses when the head fits one block, else once per use in row blocks,
+        with each block's rows of the matmul formed while the block sits in
+        L2 (d=20000, r=10, strictly decreasing tail: symmetric step 335 us
+        against 393 us for the earlier x + eta Sigma x - x M, and eigenspace
+        581 against 987). A spiked spectrum's head fits one block, and a
+        dense operator's scratch holds all s = d rows: its d^2 r product is
+        formed once, not once per use."""
         check_eta(eta)
         mu, s, rest = self.split()
         scale = (1.0 + eta * mu) * np.eye(rank)
-        scratch = linalg.aligned_empty(linalg.block_rows(s, rank), rank)
+        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, rank), rank)
         if self.diag is not None:
             col = (eta * rest)[:, None]
 
@@ -222,7 +224,8 @@ class Sigma:
         ``out`` with A = [[I - M_x, eta mu I], [eta mu I, I - M_y]], plus
         eta R Y added to X's columns and eta R^T X to Y's on the leading s
         rows (a dense Sigma: mu = 0, every real row), formed beside each
-        other in row blocks of the map's column-major head scratch.
+        other in the map's column-major head scratch: in row blocks for a
+        diagonal Sigma, in one piece for a dense one.
         Regularized, M_x = M_y = (eta/2)(G_x + G_y), which is
         eta G_y + (eta/2)(G_x - G_y) and eta G_x - (eta/2)(G_x - G_y): the
         balancing term folds into the r x r multiplier. Unregularized, M_x = eta G_y and M_y = eta G_x.
@@ -243,15 +246,15 @@ class Sigma:
             (d1, d2), s = self.shape, max(self.shape)
 
             def head(z, start, stop, block):
-                # eta Sigma Y beside eta Sigma^T X, so the update adds whole
-                # rows; a half past its factor's rows is 0.
+                # All s rows in one block: eta Sigma Y beside eta Sigma^T X,
+                # so the update adds whole rows; a half past its factor's
+                # rows is 0.
                 for mat, v, half, n in ((rest, z[:d2, r:], block[:, :r], d1),
                                         (rest.T, z[:d1, :r], block[:, r:], d2)):
-                    real = max(0, min(stop, n) - start)
-                    np.matmul(mat[start:start + real], v, out=half[:real])
-                    half[real:] = 0.0
+                    np.matmul(mat, v, out=half[:n])
+                    half[n:] = 0.0
                 return np.multiply(eta, block, out=block)
-        scratch = linalg.aligned_empty(linalg.block_rows(s, 2 * r), 2 * r)
+        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, 2 * r), 2 * r)
 
         def step(z, gram_x, gram_y, out):
             a = multiplier.copy()

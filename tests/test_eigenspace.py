@@ -11,6 +11,7 @@ from lowrank_gd import (
     FactorState,
     SolverConfig,
     best_rank_r,
+    experiment_spectrum,
     gaussian_factor,
     gd_step,
     lift_to_sym,
@@ -77,6 +78,14 @@ def test_retract_rejects_rank_deficient():
         retract(l)
     with pytest.raises(ValueError, match="rank deficient"):
         _retract_lean(l, l.T @ l)
+
+
+def test_retract_rejects_a_frame_whose_gram_overflows():
+    # The frame is finite, its Gram is not: retract names the Gram itself.
+    l = np.full((4, 2), 1e200)
+    l[:, 1] *= np.arange(1.0, 5.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite"):
+        retract(l)
 
 
 def test_retract_is_scale_invariant(rng):
@@ -313,6 +322,22 @@ def test_run_eig_rgd_overflow_raises_divergence_with_trace():
     assert not trace.converged and trace.iterations == 1
     assert [rec.iter for rec in trace.records] == [0, 1]
     assert math.isfinite(trace.records[0].proj_error)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the Gram identity r - 2||B_r^T L||^2 + ||L^T L||^2 "
+    "cancels to 0 near convergence, below the dense error"))
+def test_rf_error_resolves_below_the_gram_identity_floor():
+    # With epsilon under the identity's floor the run stops at iteration
+    # 407 as converged with an error of exactly 0, while the dense error is
+    # 2.9e-8.
+    d, r = 500, 10
+    target = make_diagonal_target(experiment_spectrum(7, 2, r, d), d, r)
+    cfg = SolverConfig(0.05, 1e-300, 2000, 2000)
+    trace = run_eig(EigState(gaussian_factor(d, r, 1)), target, cfg)
+    dense = proj_error(trace.final_state, best_rank_r(target))
+    assert trace.final_error > 0.0
+    assert trace.final_error == pytest.approx(dense, rel=1e-6)
 
 
 def test_run_eig_reports_wall_time():

@@ -177,8 +177,8 @@ def test_sigma_split_of_a_dense_operator(rng):
 def test_floor_step_matches_the_dense_update(rng, monkeypatch, order, sandwich):
     # (I + eta Sigma) v - eta v G with G = gram, or G = v^T Sigma v for the
     # eigenspace; with the map's head in one block, and with it built under
-    # a 1-byte BLOCK_BYTES, whose 8-row blocks take the head in several
-    # blocks (the last one partial).
+    # a 1-byte BLOCK_BYTES, whose 8-row blocks take a sloped diagonal head
+    # in several blocks (the last one partial).
     d, r, eta = 11, 2, 0.1
     targets = [floor_target(d, True, r), floor_target(d, False, r),
                make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d))]
@@ -224,6 +224,32 @@ def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
     assert all(rows <= r for name, rows in calls if rows != d)
 
 
+def test_dense_head_is_formed_once_per_step(rng, monkeypatch):
+    # A dense operator's head scratch holds all its rows, even under a
+    # 1-byte BLOCK_BYTES: an eigenspace step multiplies by the matrix once,
+    # for the Gram and the update together, and a two-factor step once by
+    # it and once by its transpose. In 8-row blocks the 11 rows would take
+    # two blocks, each formed for the Gram and again for the update.
+    d, r = 11, 2
+    sigma = make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d)).matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "BLOCK_BYTES", 1)
+        step, pair = Sigma(sigma).floor_step(0.1, r), Sigma(sigma).pair_step(0.1, r, True)
+    v = np.asarray(rng.normal(size=(d, r)), order="F")
+    z, out = linalg.step_buffers(v, v)
+    calls = []
+
+    def matmul(a, *args, _f=np.matmul, **kwargs):
+        calls.append(np.shares_memory(a, sigma))
+        return _f(a, *args, **kwargs)
+    monkeypatch.setattr(np, "matmul", matmul)
+    step(v, v.T @ v, np.empty_like(v), sandwich=True)
+    assert sum(calls) == 1
+    calls.clear()
+    pair(z, v.T @ v, v.T @ v, out)
+    assert sum(calls) == 2
+
+
 def _pair_oracle(x, y, sigma, eta, regularized):
     """The two-factor update as the gradients read, through dense products."""
     gram_x, gram_y = x.T @ x, y.T @ y
@@ -242,7 +268,7 @@ def test_pair_step_matches_the_dense_update(rng, monkeypatch, regularized):
     # and rectangular arrays either way round, whose shorter factor is
     # zero-padded in z and stays zero there. With the map's head in one
     # block, and with it built under a 1-byte BLOCK_BYTES, whose 8-row
-    # blocks take the head in several.
+    # blocks take a sloped diagonal head in several.
     d, r, eta = 11, 2, 0.1
     sources = [floor_target(d, True, r), floor_target(d, False, r),
                make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d)),
