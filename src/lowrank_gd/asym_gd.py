@@ -8,8 +8,10 @@ per-step correctness oracle and as the bridge to the symmetric theory.
 
 Sigma (a Target or an array) is applied through ``spectrum.Sigma``. The
 two factors step side by side in one buffer [X | Y], so each step is one
-matmul of that buffer plus Sigma's head (``Sigma.pair_step``), and
-``run_asym`` is a thin caller of the shared ``engine.iterate``.
+matmul of that buffer plus Sigma's head (``Sigma.step_map`` with
+``pair``). The step's multiplier, where the regularizer lives, is built
+here (``_multiplier``), and ``run_asym`` is a thin caller of the shared
+``engine.iterate``.
 """
 
 import math
@@ -65,18 +67,34 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
         X' = X + eta (Sigma - X Y^T) Y - (eta/2) X (X^T X - Y^T Y)
         Y' = Y + eta (Sigma - X Y^T)^T X + (eta/2) Y (X^T X - Y^T Y)
     The unregularized variant drops the (eta/2) terms. ``sigma`` is a
-    Target or an array. The step is ``Sigma.pair_step`` on the joint
-    iterate [X | Y] from ``linalg.step_buffers``, with the Grams formed
-    as the error closure forms them, as in ``run_asym``, so a run equals
-    repeated steps bit for bit.
+    Target or an array. The step is ``Sigma.step_map`` with ``pair`` on the
+    joint iterate [X | Y] from ``linalg.step_buffers`` and ``_multiplier``
+    of the Grams, formed as the error closure forms them, as in
+    ``run_asym``, so a run equals repeated steps bit for bit.
     """
     op = Sigma(sigma, svd=True)
     d1, d2, r = state.x.shape[0], state.y.shape[0], state.rank
     op.check_shape(d1, d2)
-    step = op.pair_step(eta, r, regularized)
+    step = op.step_map(eta, r, pair=True)
     z, out = linalg.step_buffers(state.x, state.y)
-    step(z, *_grams(op, r, z[:d1, :r], z[:d2, r:]), out)
+    step(z, _multiplier(eta, regularized, *_grams(op, r, z[:d1, :r], z[:d2, r:])), out)
     return AsymState(out[:d1, :r], out[:d2, r:])
+
+
+def _multiplier(eta: float, regularized: bool, gram_x: np.ndarray, gram_y: np.ndarray) -> np.ndarray:
+    """The two-factor step's 2r x 2r multiplier diag(M_x, M_y) for
+    ``Sigma.step_map`` with ``pair``, from G_x = X^T X and G_y = Y^T Y.
+    Regularized, M_x = M_y = (eta/2)(G_x + G_y), which is
+    eta G_y + (eta/2)(G_x - G_y) and eta G_x - (eta/2)(G_x - G_y): the
+    balancing term folds into the r x r multiplier. Unregularized,
+    M_x = eta G_y and M_y = eta G_x."""
+    r = gram_x.shape[0]
+    m = np.zeros((2 * r, 2 * r))
+    if regularized:
+        m[:r, :r] = m[r:, r:] = np.add(gram_x, gram_y) * (0.5 * eta)
+    else:
+        m[:r, :r], m[r:, r:] = eta * gram_y, eta * gram_x
+    return m
 
 
 def lift(state: AsymState, sigma=None) -> LiftedState:
@@ -175,7 +193,8 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     write into buffers of the run's own, so ``state0`` is never modified;
     the trace's ``final_state`` holds views of the real rows of the last
     of them. Both factors live in one buffer, [X | Y] (see
-    ``Sigma.pair_step``), so each step is one matmul of that buffer. Raises
+    ``Sigma.step_map``), so each step is one matmul of that buffer; the
+    regularizer enters through ``_multiplier``. Raises
     DivergenceError, carrying the trace so far, if either factor norm hits
     the divergence guard.
     """
@@ -184,7 +203,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     op.check_shape(d1, d2)
     err_fn = _error_fn(op, r)
     epsilon = config.epsilon
-    step = op.pair_step(config.eta, r, regularized)
+    step = op.step_map(config.eta, r, pair=True)
     z0, spare = linalg.step_buffers(state0.x, state0.y)
 
     def measure(z):
@@ -196,7 +215,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
         return z, norm, err, done, aux
 
     return iterate(
-        z0, spare, lambda z, aux, out: step(z, aux[0], aux[1], out), measure,
+        z0, spare, lambda z, aux, out: step(z, _multiplier(config.eta, regularized, *aux[:2]), out), measure,
         lambda t, z, err, aux: AsymRecord(t, err, aux[2]), config,
         lambda z: AsymState(z[:d1, :r], z[:d2, r:]),
     )

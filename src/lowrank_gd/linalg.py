@@ -25,14 +25,16 @@ SPD_MIN_EIG = 1e-12
 # bytes off a line than on aligned ones (2-vCPU Xeon VM).
 BUFFER_ALIGN = 64
 
-# Bytes of iterate rows a step map forms the head of Sigma's split in at
-# once (``spectrum.Sigma.floor_step`` and ``pair_step``), so each block's
-# product stays in L2 until the update reads it back. Sized when the
-# symmetric step still subtracted x M in row blocks, with perfbench
-# sym-solve (d=20000, r=10; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS
-# 0.3.31), median solve_ms.p50 over 4 alternating rounds: unblocked 402,
-# 256 KiB 343, 320 KiB 344, 640 KiB 365. In-process, 128 KiB blocks ran
-# slower than none: each block is one more small threaded BLAS call.
+# Bytes of iterate rows a step map (``spectrum.Sigma.step_map``) forms the
+# head of Sigma's split in at once, so each block's product stays in L2
+# until the update reads it back. Blocks run only on a diagonal head
+# longer than one block, which a sloped tail has; no shipped config or
+# benchmark workload has one, as their spiked heads are r rows. On a
+# sloped tail at d=20000, r=10, one step-map call took, in us, with
+# 320 KiB blocks against one pass: symmetric 339 against 537, eigenspace
+# 594 against 1015, two-factor 1334 against 1229 (medians of 12
+# alternating in-process rounds of 50 calls; 2-vCPU Xeon VM, 2 MiB L2 per
+# core, OpenBLAS 0.3.31).
 BLOCK_BYTES = 320 * 1024
 
 

@@ -91,6 +91,11 @@ class Target:
     def is_psd(self) -> bool:
         return bool(self.eigenvalues[-1] >= -linalg.SYMMETRY_TOL)
 
+    def to_eigen(self, x: np.ndarray) -> np.ndarray:
+        """x in eigenbasis coordinates: basis^T @ x, or x itself when the
+        eigenbasis is the identity (``basis`` is None)."""
+        return x if self.basis is None else self.basis.T @ x
+
     @property
     def matrix(self) -> np.ndarray:
         """The dense target matrix, built on first access."""
@@ -115,10 +120,11 @@ class Sigma:
     eigenvalue is then dense, and an array is diagonal when it is a square
     diagonal matrix with such entries. Every step sees the operator as a
     flat floor plus a head, mu I + R (``split``), so each step is one
-    matmul of the iterate plus a product on the head's rows: ``floor_step``
-    for the symmetric and eigenspace steps, ``pair_step`` for the
+    matmul of the iterate plus a product on the head's rows: ``step_map``,
+    alone for the symmetric and eigenspace steps and ``pair`` for the
     two-factor one, whose iterate holds both factors side by side. Each
-    map keeps its own head scratch; the iterate and its spare come from
+    solver builds the map's multiplier itself, and each map keeps its own
+    head scratch; the iterate and its spare come from
     ``linalg.step_buffers``, column-major like the scratch.
     """
 
@@ -126,8 +132,6 @@ class Sigma:
         self.diag = self.matrix = None
         if isinstance(source, Target):
             self.shape = (source.dim, source.dim)
-            self.basis = source.basis
-            self._identity_basis = source.basis is None
             if source.basis is None and not (svd and source.eigenvalues[-1] < 0):
                 self.diag = source.eigenvalues
             else:
@@ -135,14 +139,12 @@ class Sigma:
             return
         a = np.asarray(source, dtype=np.float64)
         self.shape = a.shape
-        self.basis = None
         if svd and a.ndim == 2 and a.shape[0] == a.shape[1]:
             d = np.diag(a)
             if not (np.any(d < 0) or np.any(np.diff(d) > 0) or np.any(a - np.diag(d))):
                 self.diag = d.copy()
         if self.diag is None:
             self.matrix = a
-        self._identity_basis = self.diag is not None
 
     def split(self):
         """Sigma as mu I + R, returned as ``(mu, s, R)``: R is nonzero only
@@ -157,40 +159,53 @@ class Sigma:
         s = int(np.count_nonzero(self.diag != mu))
         return mu, s, self.diag[:s] - mu
 
-    def floor_step(self, eta: float, rank: int):
-        """The symmetric and eigenspace update for step size ``eta`` on d x
-        ``rank`` factors, built once per run from ``split``: the map ``(v,
-        gram, out, sandwich=False) -> out`` that writes
-        (I + eta Sigma) v - v M into ``out`` and returns it. M is eta ``gram``
-        (the symmetric step, gram = X^T X); with ``sandwich`` it is
-        eta v^T Sigma v = eta mu ``gram`` + v^T (eta R) v (the eigenspace
-        step, gram = L^T L). Since the rows past s of I + eta Sigma are the
-        scalar 1 + eta mu, the update is one matmul,
-        v ((1 + eta mu) I - M) into ``out``, plus eta R v added to the
-        leading s rows. That product is formed in the map's column-major
-        head scratch, so no step allocates a d x r array: once for both
-        uses when the head fits one block, else once per use in row blocks,
-        with each block's rows of the matmul formed while the block sits in
-        L2 (d=20000, r=10, strictly decreasing tail: symmetric step 335 us
-        against 393 us for the earlier x + eta Sigma x - x M, and eigenspace
-        581 against 987). A spiked spectrum's head fits one block, and a
-        dense operator's scratch holds all s = d rows: its d^2 r product is
-        formed once, not once per use."""
+    def step_map(self, eta: float, rank: int, pair: bool = False):
+        """The update for step size ``eta`` on factors of ``rank`` columns,
+        built once per run from ``split`` = (mu, s, R): the map ``(v, m, out,
+        sandwich=False) -> out`` that writes v (S - m) + H(v) into ``out``
+        and overwrites the multiplier ``m``, which each solver builds. Alone
+        (the symmetric and eigenspace steps), S = (1 + eta mu) I and
+        H(v) = eta R v. With ``pair`` (the two-factor step), v = [X | Y]
+        from ``linalg.step_buffers``, S = [[I, eta mu I], [eta mu I, I]] and
+        H(v) = [eta R Y | eta R^T X], zero past each factor's rows; padding
+        rows stay zero, as mu = 0 whenever the factors differ in length.
+        ``sandwich`` first adds v^T H(v) to ``m``. H is zero past row s, so
+        the update is one matmul v (S - m) plus H(v) on the leading s rows,
+        formed in the map's column-major head scratch: in one piece, for
+        the sandwich and the update alike, when it fits one block (a spiked
+        spectrum, or a dense operator, whose scratch holds all s = d rows),
+        else in row blocks, each block's rows of the matmul formed beside
+        it while both sit in L2. No step allocates a d x r array."""
         check_eta(eta)
         mu, s, rest = self.split()
-        scale = (1.0 + eta * mu) * np.eye(rank)
-        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, rank), rank)
+        r = rank
+        # The iterate's column halves: H writes halves[i] from sources[i],
+        # the other factor's half when paired, v itself alone.
+        halves = (slice(0, r), slice(r, 2 * r))[:1 + pair]
+        sources, width = halves[::-1], r * len(halves)
+        scale = np.kron([[1.0, eta * mu], [eta * mu, 1.0]] if pair else [[1.0 + eta * mu]], np.eye(r))
         if self.diag is not None:
             col = (eta * rest)[:, None]
 
-            def head(v, start, stop, out):
-                return np.multiply(col[start:stop], v[start:stop], out=out)
+            def head(v, start, stop, block):
+                rows = col[start:stop]
+                if not pair:
+                    return np.multiply(rows, v[start:stop], out=block)
+                for src, dst in zip(sources, halves):
+                    np.multiply(rows, v[start:stop, src], out=block[:, dst])
+                return block
         else:
-            def head(v, start, stop, out):
-                return np.multiply(eta, np.matmul(rest[start:stop], v, out=out), out=out)
+            (d1, d2), s = self.shape, max(self.shape)
 
-        def step(v, gram, out, sandwich=False):
-            m = (eta * mu if sandwich else eta) * gram
+            def head(v, start, stop, block):
+                # All s rows in one block; a half past its factor's rows is 0.
+                for mat, n_in, n_out, src, dst in zip((rest, rest.T), (d2, d1), (d1, d2), sources, halves):
+                    np.matmul(mat, v[:n_in, src], out=block[:n_out, dst])
+                    block[n_out:, dst] = 0.0
+                return np.multiply(eta, block, out=block)
+        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, width), width)
+
+        def step(v, m, out, sandwich=False):
             if s <= scratch.shape[0]:
                 # The head fits one block: formed once, for the Gram and the
                 # update, around one matmul over every row.
@@ -213,74 +228,6 @@ class Sigma:
             return out
 
         return step
-
-    def pair_step(self, eta: float, rank: int, regularized: bool):
-        """The two-factor update for step size ``eta`` on factors of ``rank``
-        columns, built once per run: the map ``(z, gram_x, gram_y, out) ->
-        out`` on the joint iterate z = [X | Y], d x 2r with d the longer
-        factor's rows, the shorter factor's missing rows zero
-        (``linalg.step_buffers``).
-        With ``split`` = (mu, s, R) the update is one matmul, z A into
-        ``out`` with A = [[I - M_x, eta mu I], [eta mu I, I - M_y]], plus
-        eta R Y added to X's columns and eta R^T X to Y's on the leading s
-        rows (a dense Sigma: mu = 0, every real row), formed beside each
-        other in the map's column-major head scratch: in row blocks for a
-        diagonal Sigma, in one piece for a dense one.
-        Regularized, M_x = M_y = (eta/2)(G_x + G_y), which is
-        eta G_y + (eta/2)(G_x - G_y) and eta G_x - (eta/2)(G_x - G_y): the
-        balancing term folds into the r x r multiplier. Unregularized, M_x = eta G_y and M_y = eta G_x.
-        Padding rows stay zero, since mu = 0 whenever the factors differ in
-        length and the head writes real rows only."""
-        check_eta(eta)
-        mu, s, rest = self.split()
-        r = rank
-        multiplier = np.kron([[1.0, eta * mu], [eta * mu, 1.0]], np.eye(r))
-        if self.diag is not None:
-            col = (eta * rest)[:, None]
-
-            def head(z, start, stop, block):
-                np.multiply(col[start:stop], z[start:stop, r:], out=block[:, :r])
-                np.multiply(col[start:stop], z[start:stop, :r], out=block[:, r:])
-                return block
-        else:
-            (d1, d2), s = self.shape, max(self.shape)
-
-            def head(z, start, stop, block):
-                # All s rows in one block: eta Sigma Y beside eta Sigma^T X,
-                # so the update adds whole rows; a half past its factor's
-                # rows is 0.
-                for mat, v, half, n in ((rest, z[:d2, r:], block[:, :r], d1),
-                                        (rest.T, z[:d1, :r], block[:, r:], d2)):
-                    np.matmul(mat, v, out=half[:n])
-                    half[n:] = 0.0
-                return np.multiply(eta, block, out=block)
-        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, 2 * r), 2 * r)
-
-        def step(z, gram_x, gram_y, out):
-            a = multiplier.copy()
-            if regularized:
-                m = np.add(gram_x, gram_y)
-                m *= 0.5 * eta
-                a[:r, :r] -= m
-                a[r:, r:] -= m
-            else:
-                a[:r, :r] -= eta * gram_y
-                a[r:, r:] -= eta * gram_x
-            np.matmul(z, a, out=out)
-            for start, stop, block in _blocks(head, z, s, scratch):
-                np.add(out[start:stop], block, out=out[start:stop])
-            return out
-
-        return step
-
-    def to_eigen(self, x: np.ndarray) -> np.ndarray:
-        """x in eigenbasis coordinates: basis^T @ x for a rotated Target,
-        x itself when the eigenbasis is the identity."""
-        if self.basis is not None:
-            return self.basis.T @ x
-        if not self._identity_basis:
-            raise ValueError("the eigenbasis of a dense array operator is unknown")
-        return x
 
     def check_shape(self, rows: int, cols: int | None = None):
         """Raise ValueError unless Sigma is ``rows`` x ``cols`` (``cols`` defaults to ``rows``)."""

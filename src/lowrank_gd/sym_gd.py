@@ -63,14 +63,15 @@ class TraceRecord:
 def gd_step(state: FactorState, target, eta: float) -> FactorState:
     """One gradient step X + eta * (Sigma - X X^T) X. ``target`` is a
     Target or a symmetric array (the lifting oracles pass the latter).
-    ``Sigma.floor_step`` rejects a step size that is not positive and finite."""
+    ``Sigma.step_map`` rejects a step size that is not positive and finite;
+    the step's multiplier is eta X^T X."""
     op = Sigma(target)
     op.check_shape(state.dim)
     # Buffers and, for a Target, the Gram from the error's blocks as in
     # ``run``, so a run equals repeated steps; an array has no eigenbasis.
     x, out = linalg.step_buffers(state.x)
     gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
-    return FactorState(op.floor_step(eta, state.rank)(x, gram, out))
+    return FactorState(op.step_map(eta, state.rank)(x, eta * gram, out))
 
 
 def _gram(blocks) -> np.ndarray:
@@ -190,7 +191,7 @@ def _error_fn(target: Target):
     and the blocks ``(U, Lambda_r - U U^T, U^T U, J^T J)`` for the record."""
     r = target.rank
     lam_r = np.diag(target.leading)
-    to_eigen = Sigma(target).to_eigen
+    to_eigen = target.to_eigen
 
     def err(x: np.ndarray) -> float:
         z = to_eigen(x)
@@ -238,7 +239,7 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
     op.check_shape(state0.dim)
     err_fn = _error_fn(target)
     eta, epsilon = config.eta, config.epsilon
-    step = op.floor_step(eta, state0.rank)
+    step = op.step_map(eta, state0.rank)
     x0, spare = linalg.step_buffers(state0.x)
 
     def measure(x):
@@ -254,5 +255,5 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
             values = (math.nan,) * 5 + (False, False)
         return TraceRecord(t, err, *values)
 
-    return iterate(x0, spare, lambda x, blocks, out: step(x, _gram(blocks), out),
+    return iterate(x0, spare, lambda x, blocks, out: step(x, eta * _gram(blocks), out),
                    measure, record, config, FactorState)

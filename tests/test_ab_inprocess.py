@@ -3,6 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import lowrank_gd
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -35,3 +39,15 @@ def test_ab_inprocess_fails_on_unequal_iteration_counts(tmp_path):
     done = _ab(tmp_path)
     assert done.returncode == 1
     assert "iteration counts differ" in done.stderr
+
+
+def test_ab_inprocess_step_case_times_rf_step_on_a_dense_array(monkeypatch):
+    # The dense step case calls only the public rf_step, so it runs against
+    # any tree; here on this one with a 50 x 50 array.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import ab_inprocess
+    rng = np.random.default_rng(0)
+    sigma = rng.normal(size=(50, 50))
+    sigma += sigma.T
+    ms, calls = ab_inprocess.step_case(lowrank_gd, sigma, rng.normal(size=(50, ab_inprocess.R)))
+    assert ms > 0 and calls == (ab_inprocess.DENSE_CALLS,)

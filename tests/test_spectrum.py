@@ -21,6 +21,7 @@ from lowrank_gd import (
     rgd_step,
 )
 from lowrank_gd import linalg
+from lowrank_gd.asym_gd import _multiplier
 
 
 def givens(theta):
@@ -176,9 +177,10 @@ def test_sigma_split_of_a_dense_operator(rng):
 @pytest.mark.parametrize("sandwich", [False, True], ids=["sym", "eig"])
 def test_floor_step_matches_the_dense_update(rng, monkeypatch, order, sandwich):
     # (I + eta Sigma) v - eta v G with G = gram, or G = v^T Sigma v for the
-    # eigenspace; with the map's head in one block, and with it built under
-    # a 1-byte BLOCK_BYTES, whose 8-row blocks take a sloped diagonal head
-    # in several blocks (the last one partial).
+    # eigenspace, whose multiplier is (eta mu) gram; with the map's head in
+    # one block, and with it built under a 1-byte BLOCK_BYTES, whose 8-row
+    # blocks take a sloped diagonal head in several blocks (the last one
+    # partial).
     d, r, eta = 11, 2, 0.1
     targets = [floor_target(d, True, r), floor_target(d, False, r),
                make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d))]
@@ -191,8 +193,10 @@ def test_floor_step_matches_the_dense_update(rng, monkeypatch, order, sandwich):
         for block_bytes in (linalg.BLOCK_BYTES, 1):
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
-                step = Sigma(target).floor_step(eta, r)
-            out = step(v, gram, np.empty_like(v), sandwich=sandwich)
+                op = Sigma(target)
+                step = op.step_map(eta, r)
+            m = (eta * op.split()[0] if sandwich else eta) * gram
+            out = step(v, m, np.empty_like(v), sandwich=sandwich)
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
 
 
@@ -215,11 +219,11 @@ def test_flat_floor_step_is_one_factor_matmul(rng, monkeypatch, sandwich):
     # one matmul over all d rows, every other call on the r head rows or r x r.
     d, r = 5000, 4
     op = Sigma(floor_target(d, True, r))
-    step = op.floor_step(0.05, r)
+    step = op.step_map(0.05, r)
     v = np.asarray(rng.normal(size=(d, r)), order="F")
-    gram, out = v.T @ v, np.empty_like(v)
+    m, out = 0.05 * (v.T @ v), np.empty_like(v)
     calls = _count_rows(monkeypatch)
-    step(v, gram, out, sandwich=sandwich)
+    step(v, m, out, sandwich=sandwich)
     assert [name for name, rows in calls if rows == d] == ["matmul"]
     assert all(rows <= r for name, rows in calls if rows != d)
 
@@ -234,7 +238,7 @@ def test_dense_head_is_formed_once_per_step(rng, monkeypatch):
     sigma = make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d)).matrix
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "BLOCK_BYTES", 1)
-        step, pair = Sigma(sigma).floor_step(0.1, r), Sigma(sigma).pair_step(0.1, r, True)
+        step, pair = Sigma(sigma).step_map(0.1, r), Sigma(sigma).step_map(0.1, r, pair=True)
     v = np.asarray(rng.normal(size=(d, r)), order="F")
     z, out = linalg.step_buffers(v, v)
     calls = []
@@ -246,7 +250,7 @@ def test_dense_head_is_formed_once_per_step(rng, monkeypatch):
     step(v, v.T @ v, np.empty_like(v), sandwich=True)
     assert sum(calls) == 1
     calls.clear()
-    pair(z, v.T @ v, v.T @ v, out)
+    pair(z, _multiplier(0.1, True, v.T @ v, v.T @ v), out)
     assert sum(calls) == 2
 
 
@@ -282,10 +286,10 @@ def test_pair_step_matches_the_dense_update(rng, monkeypatch, regularized):
         for block_bytes in (linalg.BLOCK_BYTES, 1):
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
-                step = op.pair_step(eta, r, regularized)
+                step = op.step_map(eta, r, pair=True)
             z, out = linalg.step_buffers(x, y)
             out.fill(np.nan)
-            got = step(z, x.T @ x, y.T @ y, out)
+            got = step(z, _multiplier(eta, regularized, x.T @ x, y.T @ y), out)
             assert got is out
             np.testing.assert_allclose(out[:d1, :r], want[0], rtol=0, atol=1e-14)
             np.testing.assert_allclose(out[:d2, r:], want[1], rtol=0, atol=1e-14)
@@ -302,13 +306,32 @@ def test_flat_floor_pair_step_is_one_matmul(rng, monkeypatch):
     x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
     z, out = linalg.step_buffers(x, y)
     for regularized in (True, False):
-        step, grams = op.pair_step(0.05, r, regularized), (x.T @ x, y.T @ y)
+        step, m = op.step_map(0.05, r, pair=True), _multiplier(0.05, regularized, x.T @ x, y.T @ y)
         assert inspect.getclosurevars(step).nonlocals["scratch"].shape == (r, 2 * r)
         with monkeypatch.context() as patch:
             calls = _count_rows(patch)
-            step(z, *grams, out)
+            step(z, m, out)
         assert [name for name, rows in calls if rows == d] == ["matmul"]
         assert all(rows <= 2 * r for name, rows in calls if rows != d)
+
+
+def test_sloped_pair_step_forms_the_matmul_beside_each_head_block(rng, monkeypatch):
+    # Over a sloped tail the head spans s = d - 1 rows, five 8-row blocks
+    # under a 1-byte BLOCK_BYTES: each block's rows of z A are formed next
+    # to the block, and the one floor row apart, so no matmul spans more
+    # rows than a block. The 2r x 2r multiplier is the widest other operand.
+    d, r = 40, 2
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "BLOCK_BYTES", 1)
+        step = Sigma(floor_target(d, False, r), svd=True).step_map(0.05, r, pair=True)
+    x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
+    z, out = linalg.step_buffers(x, y)
+    m = _multiplier(0.05, True, x.T @ x, y.T @ y)
+    with monkeypatch.context() as patch:
+        calls = _count_rows(patch)
+        step(z, m, out)
+    matmuls = [rows for name, rows in calls if name == "matmul"]
+    assert len(matmuls) == 6 and max(matmuls) == 8
 
 
 ETA_TARGET = make_diagonal_target([3.0, 1.0, 0.5], 3, 1)
@@ -331,11 +354,8 @@ def test_steps_and_kappa_reject_a_nonpositive_eta_by_name(name, eta):
         ETA_USERS[name](eta)
 
 
-def test_sigma_to_eigen(rng):
+def test_target_to_eigen(rng):
     basis = random_orthogonal(rng, 4)
     x = rng.normal(size=(4, 2))
-    np.testing.assert_allclose(Sigma(make_target([3.0, 2.0, 1.0, 0.5], 2, basis=basis)).to_eigen(x),
-                               basis.T @ x)
-    assert Sigma(make_diagonal_target([3.0, 2.0, 1.0, 0.5], 4, 2)).to_eigen(x) is x
-    with pytest.raises(ValueError, match="eigenbasis"):
-        Sigma(np.ones((4, 4))).to_eigen(x)
+    np.testing.assert_allclose(make_target([3.0, 2.0, 1.0, 0.5], 2, basis=basis).to_eigen(x), basis.T @ x)
+    assert make_diagonal_target([3.0, 2.0, 1.0, 0.5], 4, 2).to_eigen(x) is x

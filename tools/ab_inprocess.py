@@ -22,9 +22,11 @@ Cases (default: all of them):
 - ``rf-rotated``, ``rgd-rotated``: the same on that spectrum rotated by a
   Haar-random orthogonal basis (the QR of a seeded Gaussian with the signs
   of R's diagonal moved into Q), so Sigma is a dense 500 x 500 matrix.
-- ``eig-step-dense``: 20 calls of one eigenspace step map
-  (``Sigma.floor_step``, sandwich) of a dense symmetric 5000 x 5000 array
-  on a 5000 x 10 frame; a round's value is ms per call.
+- ``eig-step-dense``: 20 calls of the public ``rf_step`` on a dense
+  symmetric 5000 x 5000 array and a 5000 x 10 frame; a round's value is ms
+  per call. Every tree has ``rf_step``, whatever its step map is called;
+  its per-call setup (Sigma, the step buffers, the map's scratch) is small
+  next to the d^2 r product.
 
 For each case it prints the median and quartiles of each side's round
 values, the rounds in which this tree was faster, and both sides'
@@ -81,13 +83,11 @@ def run_case(lg, method: str, basis):
 
 
 def step_case(lg, sigma: np.ndarray, frame: np.ndarray):
-    """One dense eigenspace step map: (ms per call, calls)."""
-    step = lg.Sigma(sigma).floor_step(0.05, R)
-    v, out = lg.linalg.step_buffers(frame)
-    gram = v.T @ v
+    """One retraction-free step on a dense array: (ms per call, calls)."""
+    state = lg.EigState(frame)
     start = time.perf_counter()
     for _ in range(DENSE_CALLS):
-        step(v, gram, out, sandwich=True)
+        lg.rf_step(state, sigma, 0.05)
     return 1e3 * (time.perf_counter() - start) / DENSE_CALLS, (DENSE_CALLS,)
 
 
