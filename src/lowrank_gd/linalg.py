@@ -25,16 +25,18 @@ SPD_MIN_EIG = 1e-12
 # bytes off a line than on aligned ones (2-vCPU Xeon VM).
 BUFFER_ALIGN = 64
 
-# Bytes of iterate rows a step map (``spectrum.Sigma.step_map``) forms the
-# head of Sigma's split in at once, so each block's product stays in L2
-# until the update reads it back. Blocks run only on a diagonal head
-# longer than one block, which a sloped tail has; no shipped config or
-# benchmark workload has one, as their spiked heads are r rows. On a
-# sloped tail at d=20000, r=10, one step-map call took, in us, with
-# 320 KiB blocks against one pass: symmetric 339 against 537, eigenspace
-# 594 against 1015, two-factor 1334 against 1229 (medians of 12
-# alternating in-process rounds of 50 calls; 2-vCPU Xeon VM, 2 MiB L2 per
-# core, OpenBLAS 0.3.31).
+# Bytes of one factor's rows a step map (``spectrum.Sigma.step_map``)
+# forms the head of Sigma's split in at once, so each block's product
+# stays in L2 until the update reads it back; the two-factor map's blocks
+# hold as many rows of both factors, twice the bytes. Blocks run only on a
+# diagonal head longer than one block, which a sloped tail has; no
+# shipped config or benchmark workload has one, as their spiked heads are
+# r rows. On a sloped tail at d=20000, r=10, one step-map call took, in
+# us, with 320 KiB blocks against one pass: symmetric 339 against 537,
+# eigenspace 594 against 1015 (medians of 12 alternating in-process rounds
+# of 50 calls), two-factor 1042 against 1162, and 1389 in blocks of half
+# the rows (12 rounds each; 2-vCPU Xeon VM, 2 MiB L2 per core, OpenBLAS
+# 0.3.31).
 BLOCK_BYTES = 320 * 1024
 
 
@@ -66,9 +68,10 @@ def singular_values(m) -> np.ndarray:
 
     ``m`` is a matrix, or a 3-D stack of equally shaped matrices; a stack
     gets one row of values per matrix, the same bits as separate calls,
-    from one batched LAPACK call. Raises ValueError on any other number of
-    dimensions, an empty matrix or a non-finite entry, and NumericalError
-    if the underlying iteration does not converge.
+    from one NumPy call (LAPACK runs once per matrix). Raises ValueError
+    on any other number of dimensions, an empty matrix or a non-finite
+    entry, and NumericalError if the underlying iteration does not
+    converge.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim not in (2, 3):

@@ -203,7 +203,9 @@ class Sigma:
                     np.matmul(mat, v[:n_in, src], out=block[:n_out, dst])
                     block[n_out:, dst] = 0.0
                 return np.multiply(eta, block, out=block)
-        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, width), width)
+        # A block's height is that of one factor's block, so the pair's
+        # blocks hold as many rows as the others (and twice their bytes).
+        scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, r), width)
 
         def step(v, m, out, sandwich=False):
             if s <= scratch.shape[0]:

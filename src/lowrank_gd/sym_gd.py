@@ -83,16 +83,22 @@ def block_values(blocks):
     """(sigma_1(X), sigma_1(J), sigma_r(U), sigma_1^2(J) / sigma_r^2(U),
     sigma_1(Lambda_r - U U^T)) of an iterate given by its ``eigen_blocks``,
     from the singular values of the r x r matrices G_u + G_j, G_j, U and
-    Lambda_r - U U^T. sigma_1 of X and J are roots of the top singular
-    values of the PSD Grams (relative error O(r eps)), so no d x r matrix
-    is decomposed; sigma_r(U) comes from U itself, which keeps its accuracy
-    when U is ill-conditioned. The ratio is inf for a singular U."""
+    Lambda_r - U U^T, taken as one stack in one ``singular_values`` (NumPy
+    ``svd``) call: LAPACK still decomposes each block, with the bits of
+    four separate calls, and the stack saves three calls' overhead.
+    sigma_1 of X and J are roots of the top singular values of the PSD
+    Grams (relative error O(r eps)), so no d x r matrix is decomposed;
+    sigma_r(U) comes from U itself, which keeps its accuracy when U is
+    ill-conditioned. The ratio is inf for a singular U and when it
+    overflows."""
     u, top, gram_u, gram_j = blocks
-    s1x = math.sqrt(linalg.singular_values(gram_u + gram_j)[0])
-    s1j = math.sqrt(linalg.singular_values(gram_j)[0])
-    sru = float(linalg.singular_values(u)[-1])
-    ratio = math.inf if sru <= SIGNAL_FLOOR else (s1j / sru) ** 2
-    return s1x, s1j, sru, ratio, float(linalg.singular_values(top)[0])
+    sv = linalg.singular_values(np.array((gram_u + gram_j, gram_j, u, top)))
+    s1x, s1j, sru = math.sqrt(sv[0, 0]), math.sqrt(sv[1, 0]), float(sv[2, -1])
+    try:
+        ratio = math.inf if sru <= SIGNAL_FLOOR else (s1j / sru) ** 2
+    except OverflowError:  # float ** raises where the square leaves the range
+        ratio = math.inf
+    return s1x, s1j, sru, ratio, float(sv[3, 0])
 
 
 def region_quantities(blocks, target: Target, slack: float = DEFAULT_REGION_SLACK):

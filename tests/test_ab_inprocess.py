@@ -10,22 +10,25 @@ import lowrank_gd
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _ab(parent: Path):
+def _ab(parent: Path, case: str = "rf-diagonal"):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(parent),
-         "--rounds", "1", "--cases", "rf-diagonal"],
+         "--rounds", "1", "--cases", case],
         capture_output=True, text=True, timeout=300,
     )
 
 
 def test_ab_inprocess_times_this_tree_against_itself():
-    # One round of the smallest case, this tree on both sides: a row for the
-    # case with equal iteration counts, and exit 0.
-    done = _ab(ROOT)
+    # One round of the smallest case and of the recorded symmetric runs,
+    # this tree on both sides: a row per case with equal iteration counts,
+    # and exit 0.
+    done = _ab(ROOT, "rf-diagonal,sym-records")
     assert done.returncode == 0, done.stderr
-    row = next(line for line in done.stdout.splitlines() if line.startswith("rf-diagonal"))
-    this, parent = row.rsplit("  ", 1)[1].split(" / ")
-    assert this == parent and int(this) > 0
+    for case in ("rf-diagonal", "sym-records"):
+        row = next(line for line in done.stdout.splitlines() if line.startswith(case))
+        assert "us/iter" in row
+        this, parent = row.rsplit("  ", 1)[1].split(" / ")
+        assert this == parent and int(this) > 0
 
 
 def test_ab_inprocess_fails_on_unequal_iteration_counts(tmp_path):

@@ -316,22 +316,26 @@ def test_flat_floor_pair_step_is_one_matmul(rng, monkeypatch):
 
 
 def test_sloped_pair_step_forms_the_matmul_beside_each_head_block(rng, monkeypatch):
-    # Over a sloped tail the head spans s = d - 1 rows, five 8-row blocks
-    # under a 1-byte BLOCK_BYTES: each block's rows of z A are formed next
-    # to the block, and the one floor row apart, so no matmul spans more
-    # rows than a block. The 2r x 2r multiplier is the widest other operand.
+    # Over a sloped tail the head spans s = d - 1 rows, in blocks of
+    # block_rows(s, r) rows of both factors, as many as a one-factor map's:
+    # 8 rows under a 1-byte BLOCK_BYTES, and 16 (not the 8 rows of 2r
+    # columns that fit) under 16 rows of r columns. Each block's rows of
+    # z A are formed next to the block, and the one floor row apart, whose
+    # matmul counts its 2r x 2r multiplier; no matmul spans more rows than
+    # a block.
     d, r = 40, 2
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "BLOCK_BYTES", 1)
-        step = Sigma(floor_target(d, False, r), svd=True).step_map(0.05, r, pair=True)
     x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
     z, out = linalg.step_buffers(x, y)
     m = _multiplier(0.05, True, x.T @ x, y.T @ y)
-    with monkeypatch.context() as patch:
-        calls = _count_rows(patch)
-        step(z, m, out)
-    matmuls = [rows for name, rows in calls if name == "matmul"]
-    assert len(matmuls) == 6 and max(matmuls) == 8
+    for block_bytes, heights in ((1, [8, 8, 8, 8, 7]), (16 * r * 8, [16, 16, 7])):
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+            step = Sigma(floor_target(d, False, r), svd=True).step_map(0.05, r, pair=True)
+        assert inspect.getclosurevars(step).nonlocals["scratch"].shape == (heights[0], 2 * r)
+        with monkeypatch.context() as patch:
+            calls = _count_rows(patch)
+            step(z, m, out)
+        assert [rows for name, rows in calls if name == "matmul"] == [2 * r] + heights
 
 
 ETA_TARGET = make_diagonal_target([3.0, 1.0, 0.5], 3, 1)

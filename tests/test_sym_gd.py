@@ -27,9 +27,9 @@ from lowrank_gd import (
     signal_residual,
     warmup_budget,
 )
-from lowrank_gd import experiment_spectrum, load_config
+from lowrank_gd import experiment_spectrum, linalg, load_config
 from lowrank_gd.engine import DIVERGENCE_LIMIT
-from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK, eigen_blocks
+from lowrank_gd.sym_gd import DEFAULT_REGION_SLACK, block_values, eigen_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +124,49 @@ def test_signal_residual():
     assert signal_residual(FactorState(col(math.sqrt(2.0), 0.0)), TOY) == pytest.approx(0.0, abs=1e-12)
     assert signal_residual(FactorState(col(1.0, 0.0)), TOY) == pytest.approx(1.0)
     assert signal_residual(FactorState(col(0.0, 0.0)), TOY) == pytest.approx(2.0)
+
+
+def test_an_overflowing_noise_signal_ratio_reads_inf():
+    # sigma_r(U) = 1e-200 is above SIGNAL_FLOOR, yet (0.5 / 1e-200)^2 leaves
+    # the float range, where Python's float ** raises OverflowError.
+    target = make_diagonal_target([3.0, 2.0, 1.0, 1.0, 1.0, 1.0], 6, 2)
+    x = np.zeros((6, 2))
+    x[0, 0], x[1, 1], x[2, 0] = 1.0, 1e-200, 0.5
+    state = FactorState(x)
+    assert noise_signal_ratio(state, target) == math.inf
+    assert not in_region_r(state, target) and in_region_r2(state, target)
+    assert not check_condition_1(state, target, 0.05).holds
+    trace = run(state, target, SolverConfig(eta=0.05, epsilon=1e-6, max_iters=3, record_every=1))
+    assert [rec.ratio for rec in trace.records] == [math.inf] * 4
+    assert not any(rec.in_r for rec in trace.records)
+
+
+def test_each_record_takes_one_decomposition(monkeypatch):
+    # block_values decomposes its four r x r blocks as one stack: one
+    # singular_values call per record, whose values equal the four separate
+    # calls' bit for bit on every record of a run.
+    target = make_diagonal_target(experiment_spectrum(7.0, 2.0, 4, 60), 60, 4)
+    state = FactorState(0.01 * gaussian_factor(60, 4, seed=3))
+    cfg = SolverConfig(eta=0.05, epsilon=1e-12, max_iters=40, record_every=1)
+    calls = []
+
+    def counted(m, _f=linalg.singular_values):
+        calls.append(np.shape(m))
+        return _f(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "singular_values", counted)
+        block_values(eigen_blocks(state, target))
+        assert calls == [(4, 4, 4)]
+        trace = run(state, target, cfg)
+    assert len(calls) == 1 + len(trace.records) == 42
+    sv = linalg.singular_values
+    for t, rec in enumerate(trace.records):
+        if t:
+            state = gd_step(state, target, cfg.eta)
+        u, top, gram_u, gram_j = eigen_blocks(state, target)
+        s1j, sru = math.sqrt(sv(gram_j)[0]), float(sv(u)[-1])
+        want = (math.sqrt(sv(gram_u + gram_j)[0]), s1j, sru, (s1j / sru) ** 2, float(sv(top)[0]))
+        assert (rec.sigma1_x, rec.sigma1_j, rec.sigmar_u, rec.ratio, rec.sigma1_p) == want, t
 
 
 def test_local_iteration_budget_example():

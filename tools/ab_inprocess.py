@@ -27,10 +27,18 @@ Cases (default: all of them):
   per call. Every tree has ``rf_step``, whatever its step map is called;
   its per-call setup (Sigma, the step buffers, the map's scratch) is small
   next to the d^2 r product.
+- ``sym-records``: the symmetric ``run`` with a diagnostics record at every
+  iteration (``record_every=1``), at d=1000, r=10 on the ``experiment``
+  spectrum from 7 to 2, eta 0.05, epsilon 1e-6, one run from
+  ``alpha * gaussian_factor(1000, 10, 1)`` for each alpha in 0.5, 5e-4 and
+  5e-7. A round's value is the loop time of the three runs per iteration,
+  in us, so it times the record path (the record's singular values) on
+  top of the step and the error.
 
 For each case it prints the median and quartiles of each side's round
 values, the rounds in which this tree was faster, and both sides'
-iteration counts (summed over the seeds; the step case counts its calls).
+iteration counts (summed over the seeds or alphas; the step case counts
+its calls).
 
 Exit status: 1 when the two sides' iteration counts differ in any run of
 any case, 0 otherwise. Timings are reported, never gated.
@@ -48,7 +56,8 @@ from golden_diff import ROOT, source_dir
 
 D, R, SEEDS = 500, 10, range(1, 9)
 DENSE_D, DENSE_CALLS = 5000, 20
-CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "eig-step-dense")
+SYM_D, SYM_ALPHAS = 1000, (0.5, 5e-4, 5e-7)
+CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "eig-step-dense", "sym-records")
 
 
 def load(src: Path, name: str):
@@ -82,6 +91,20 @@ def run_case(lg, method: str, basis):
     return 1e6 * wall / sum(iters), tuple(iters)
 
 
+def records_case(lg):
+    """A case of three recorded symmetric runs: (loop us per iteration,
+    per-alpha iterations)."""
+    target = lg.make_target(lg.experiment_spectrum(7, 2, R, SYM_D), R)
+    cfg = lg.SolverConfig(eta=0.05, epsilon=1e-6, max_iters=10000, record_every=1)
+    start = lg.gaussian_factor(SYM_D, R, 1)
+    wall, iters = 0.0, []
+    for alpha in SYM_ALPHAS:
+        trace = lg.run(lg.FactorState(alpha * start), target, cfg)
+        wall += trace.wall_time
+        iters.append(trace.iterations)
+    return 1e6 * wall / sum(iters), tuple(iters)
+
+
 def step_case(lg, sigma: np.ndarray, frame: np.ndarray):
     """One retraction-free step on a dense array: (ms per call, calls)."""
     state = lg.EigState(frame)
@@ -93,6 +116,8 @@ def step_case(lg, sigma: np.ndarray, frame: np.ndarray):
 
 def case_runner(case: str):
     """``lg -> (value, counts)`` for one case, and the value's unit."""
+    if case == "sym-records":
+        return records_case, "us/iter"
     if case == "eig-step-dense":
         rng = np.random.default_rng(0)
         sigma = rng.normal(size=(DENSE_D, DENSE_D))
