@@ -2,19 +2,20 @@
 SVG log-error plots out.
 
 Every kind builds one diagonal Target from the configured spectrum and
-hands it to its solver: "sym" to the symmetric one, "asym" to the
-two-factor one, "eig" to the eigenspace one, and "bench" times the two
-eigenspace methods back to back. Each (variant, repeat) is one job run
-by ``_execute``, one after another in the order ``_build_jobs`` lists
-them; BLAS threads are the only parallelism. CSV columns are the fields
-of the solver's records. Repeats draw their seeds as base_seed + index,
-so re-running a config reproduces every CSV byte for byte.
+hands it to its solver, as its row in ``_KINDS`` says; "bench" shares
+the "eig" row and times the two eigenspace methods back to back. Each
+(variant, repeat) is one job run by ``_execute``, one after another in
+the order ``_build_jobs`` lists them; BLAS threads are the only
+parallelism. CSV columns are the fields of the solver's records. Repeats
+draw their seeds as base_seed + index, so re-running a config reproduces
+every CSV byte for byte.
 """
 
 import csv
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,15 +25,12 @@ from . import asym_gd, eigenspace, engine, initialization, spectrum, sym_gd
 
 FLOAT_FMT = "%.17g"
 
-KINDS = ("sym", "asym", "eig", "bench")
+# Variant value (asym flag or eigenspace method) -> its short name in variant and CSV names.
+_SHORT = {True: "reg", False: "unreg", "retraction_free": "rf", "rgd": "rgd"}
 
-# Eigenspace method -> its short name in variant and CSV names.
-_SHORT = {"retraction_free": "rf", "rgd": "rgd"}
-
-_TOP_KEYS = {
-    "kind", "dim", "rank", "spectrum", "eta", "epsilon", "max_iters",
-    "init", "repeats", "record_every", "regularized", "method", "out_dir",
-}
+# Keys every kind accepts; each kind accepts its own variant key besides.
+_TOP_KEYS = {"kind", "dim", "rank", "spectrum", "eta", "epsilon", "max_iters", "init", "repeats",
+             "record_every", "out_dir"}
 _REQUIRED_KEYS = ("kind", "dim", "rank", "spectrum", "eta", "epsilon", "max_iters", "init")
 _INIT_KEYS = {"scheme", "alpha", "seed", "multiplier"}
 _SPECTRUM_KEYS = {"experiment", "equal_top", "explicit"}
@@ -40,6 +38,23 @@ _SPECTRUM_KEYS = {"experiment", "equal_top", "explicit"}
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
+
+
+# One row per kind: the config key naming its variants (None: one per alpha),
+# whether its spectrum must be PSD, whether a run starts from a pair of
+# factors, and its solver call, which looks the solver up on its module when
+# the job runs, so that a wrapper set there is the one that runs.
+_Kind = namedtuple("_Kind", "variant psd pair solve")
+_KINDS = {
+    "sym": _Kind(None, psd=True, pair=False, solve=lambda draws, target, cfg, _:
+                 sym_gd.run(sym_gd.FactorState(*draws), target, cfg)),
+    "asym": _Kind("regularized", psd=False, pair=True, solve=lambda draws, target, cfg, flag:
+                  asym_gd.run_asym(asym_gd.AsymState(*draws), target, cfg, regularized=flag)),
+    "eig": _Kind("method", psd=True, pair=False, solve=lambda draws, target, cfg, method:
+                 eigenspace.run_eig(eigenspace.EigState(*draws), target, cfg, method=method)),
+}
+_KINDS["bench"] = _KINDS["eig"]  # they differ where the code tests kind == "bench"
+KINDS = tuple(_KINDS)
 
 
 class UnwritableOutputError(OSError):
@@ -108,6 +123,18 @@ def config_number(obj: dict, name: str, low=0, high=math.inf, *, integer=False, 
     return value if integer else float(value)
 
 
+def config_choice(obj: dict, name: str, choices: dict, default=None):
+    """The one rule for an enumerated value in a config, with ``name`` and
+    ``default`` as in ``config_number``. The value must equal a key of
+    ``choices`` and have its type, so true is not 1; returns what ``choices``
+    maps it to, and raises a ConfigError naming the key otherwise."""
+    value = obj.get(name.rpartition(".")[2], default)
+    for choice, meaning in choices.items():
+        if type(value) is type(choice) and value == choice:
+            return meaning
+    raise ConfigError(f"invalid value for '{name}': expected one of {list(choices)}, got {value!r}")
+
+
 def _resolve_spectrum(spec, dim: int, rank: int) -> np.ndarray:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("invalid value for 'spectrum': expected exactly one of "
@@ -133,19 +160,17 @@ def _resolve_spectrum(spec, dim: int, rank: int) -> np.ndarray:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON object. Unknown keys are rejected by name."""
+    """Validate a parsed JSON object. Unknown keys, another kind's variant
+    key among them, are rejected by name."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
     if missing:
         raise ConfigError(f"missing required key '{missing[0]}'")
-
-    kind = raw["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"invalid value for 'kind': expected one of {KINDS}, got {kind!r}")
+    kind = config_choice(raw, "kind", {k: k for k in KINDS})
+    unknown = sorted(set(raw) - _TOP_KEYS - {_KINDS[kind].variant})
+    if unknown:
+        raise ConfigError(f"unknown config keys for kind {kind!r}: {', '.join(unknown)}")
     dim = config_number(raw, "dim", integer=True)
     rank = config_number(raw, "rank", 0, dim - 1, integer=True)
     values = _resolve_spectrum(raw["spectrum"], dim, rank)
@@ -159,9 +184,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = sorted(set(init) - _INIT_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join('init.' + k for k in unknown)}")
-    scheme = init.get("scheme", "moderate")
-    if scheme not in ("small", "moderate"):
-        raise ConfigError(f"invalid value for 'init.scheme': expected 'small' or 'moderate', got {scheme!r}")
+    scheme = config_choice(init, "init.scheme", {"small": "small", "moderate": "moderate"}, "moderate")
     alphas = init.get("alpha", 0.5)
     alphas = alphas if isinstance(alphas, list) else [alphas]
     if not alphas:
@@ -179,23 +202,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     record_every = config_number(raw, "record_every", integer=True,
                                  default=max_iters if kind == "bench" else 1)
 
-    regularized = raw.get("regularized", "both")
-    if regularized is True or regularized is False:
-        regularized = (regularized,)
-    elif regularized == "both":
-        regularized = (True, False)
-    else:
-        raise ConfigError("invalid value for 'regularized': expected true, false, or \"both\"")
-
-    method = raw.get("method", "both")
-    if method == "both":
-        methods = eigenspace.METHODS
-    elif method in eigenspace.METHODS:
-        methods = (method,)
-    else:
-        raise ConfigError(
-            f"invalid value for 'method': expected one of {eigenspace.METHODS + ('both',)}, got {method!r}"
-        )
+    regularized = config_choice(raw, "regularized", {True: (True,), False: (False,), "both": (True, False)},
+                                "both")
+    methods = config_choice(raw, "method", dict({m: (m,) for m in eigenspace.METHODS}, both=eigenspace.METHODS),
+                            "both")
 
     out_dir = raw.get("out_dir", "out")
     if not isinstance(out_dir, str):
@@ -205,7 +215,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         target = spectrum.make_diagonal_target(values, dim, rank)
     except ValueError as exc:
         raise ConfigError(f"invalid value for 'spectrum': {exc}") from exc
-    if kind != "asym" and not target.is_psd:
+    if _KINDS[kind].psd and not target.is_psd:
         raise ConfigError(
             f"invalid value for 'spectrum': kind {kind!r} needs a PSD spectrum, "
             f"got smallest eigenvalue {target.eigenvalues[-1]:g}"
@@ -226,11 +236,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON experiment config."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
@@ -275,33 +286,24 @@ def _eta_within_theory(target, eta: float):
 
 def _build_jobs(config: ExperimentConfig, target, seed_base: int):
     """(variant name, repeat, seed, params) of every run, in run order.
-    Bench jobs use the first alpha only and interleave the methods within
-    each repeat."""
+    ``params`` holds the alpha and the value of the kind's variant key.
+    Bench jobs use the first alpha only, name their variants without it
+    and interleave them within each repeat."""
+    key = _KINDS[config.kind].variant
+    values = {"regularized": config.regularized, "method": config.methods}.get(key, ())
+    variants = [(f"_{_SHORT[v]}", {key: v}) for v in values] or [("", {})]
     if config.kind == "bench":
         alpha = _alpha_for(config, config.alphas[0], target)
-        return [(_SHORT[m], rep, seed_base + rep, {"alpha": alpha, "method": m})
-                for rep in range(config.repeats) for m in config.methods]
-    jobs = []
-    for alpha in config.alphas:
-        alpha_eff = _alpha_for(config, alpha, target)
-        if config.kind == "sym":
-            variants = [(f"a{alpha:g}", {"alpha": alpha_eff})]
-        elif config.kind == "asym":
-            variants = [(f"a{alpha:g}_{'reg' if f else 'unreg'}", {"alpha": alpha_eff, "regularized": f})
-                        for f in config.regularized]
-        else:
-            variants = [(f"a{alpha:g}_{_SHORT[m]}", {"alpha": alpha_eff, "method": m})
-                        for m in config.methods]
-        for name, params in variants:
-            for rep in range(config.repeats):
-                jobs.append((name, rep, seed_base + rep, params))
-    return jobs
+        return [(suffix[1:], rep, seed_base + rep, {"alpha": alpha, **entry})
+                for rep in range(config.repeats) for suffix, entry in variants]
+    return [(f"a{alpha:g}{suffix}", rep, seed_base + rep, {"alpha": _alpha_for(config, alpha, target), **entry})
+            for alpha in config.alphas for suffix, entry in variants for rep in range(config.repeats)]
 
 
 def _draws(config: ExperimentConfig, seed: int) -> tuple:
     """The unscaled initial factors of a run drawn with ``seed``."""
     d, r = config.dim, config.rank
-    if config.kind == "asym":
+    if _KINDS[config.kind].pair:
         return initialization.gaussian_pair(d, d, r, seed)
     return (initialization.gaussian_factor(d, r, seed),)
 
@@ -321,15 +323,10 @@ def _check_alphas(config: ExperimentConfig, jobs):
 def _solve(config: ExperimentConfig, target, seed: int, params: dict) -> engine.Trace:
     """One run from ``alpha`` times its draws; ``_check_alphas`` has
     checked that the product is finite."""
-    alpha = params["alpha"]
-    state0 = [alpha * draw for draw in _draws(config, seed)]
+    row = _KINDS[config.kind]
+    draws = [params["alpha"] * draw for draw in _draws(config, seed)]
     solver_cfg = engine.SolverConfig(config.eta, config.epsilon, config.max_iters, config.record_every)
-    if config.kind == "sym":
-        return sym_gd.run(sym_gd.FactorState(*state0), target, solver_cfg)
-    if config.kind == "asym":
-        return asym_gd.run_asym(asym_gd.AsymState(*state0), target, solver_cfg,
-                                regularized=params["regularized"])
-    return eigenspace.run_eig(eigenspace.EigState(*state0), target, solver_cfg, method=params["method"])
+    return row.solve(draws, target, solver_cfg, params.get(row.variant))
 
 
 def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> RunResult:
@@ -447,19 +444,21 @@ def _read_curve(path):
             errs.append(max(float(row[err_col]), _LOG_FLOOR))
     if not iters:
         raise ValueError(f"CSV {path} has no data rows")
-    return np.array(iters), np.log10(np.array(errs))
+    iters, log_errs = np.array(iters), np.log10(np.array(errs))
+    finite = np.isfinite(log_errs)
+    return iters[finite], log_errs[finite]
 
 
 def emit_plot(csv_paths, out_path) -> str:
     """Render log10(error) against iteration as a self-contained SVG, one
-    polyline per CSV. Errors are clipped at 1e-16 before taking logs."""
+    polyline per CSV. Errors are clipped at 1e-16 before taking logs, and
+    rows with an inf or NaN error are left out of the axes and polylines."""
     if not csv_paths:
         raise ValueError("no CSV paths given")
     curves = [_read_curve(p) for p in csv_paths]
-    x_max = max(float(x.max()) for x, _ in curves)
-    x_max = max(x_max, 1.0)
-    y_min = min(float(y.min()) for _, y in curves)
-    y_max = max(float(y.max()) for _, y in curves)
+    xs, ys = (np.concatenate(axis) for axis in zip(*curves))
+    x_max = float(xs.max(initial=1.0))
+    y_min, y_max = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
     if y_max - y_min < 1e-9:
         y_min, y_max = y_min - 1.0, y_max + 1.0
 

@@ -19,12 +19,12 @@ def _ab(parent: Path, case: str = "rf-diagonal"):
 
 
 def test_ab_inprocess_times_this_tree_against_itself():
-    # One round of the smallest case and of the recorded symmetric runs,
-    # this tree on both sides: a row per case with equal iteration counts,
-    # and exit 0.
-    done = _ab(ROOT, "rf-diagonal,sym-records")
+    # One round of the smallest case, of the recorded symmetric runs and of
+    # the sloped two-factor run, this tree on both sides: a row per case
+    # with equal iteration counts, and exit 0.
+    done = _ab(ROOT, "rf-diagonal,sym-records,asym-sloped")
     assert done.returncode == 0, done.stderr
-    for case in ("rf-diagonal", "sym-records"):
+    for case in ("rf-diagonal", "sym-records", "asym-sloped"):
         row = next(line for line in done.stdout.splitlines() if line.startswith(case))
         assert "us/iter" in row
         this, parent = row.rsplit("  ", 1)[1].split(" / ")

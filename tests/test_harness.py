@@ -20,7 +20,7 @@ from lowrank_gd import (
     run_experiment,
     small_alpha_bound,
 )
-from lowrank_gd import harness
+from lowrank_gd import asym_gd, eigenspace, harness, sym_gd
 from lowrank_gd.cli import main as cli_main
 
 MINIMAL_SYM = {
@@ -109,6 +109,27 @@ def test_invalid_value_is_named(key, value):
         parse_config(_with_number(key, value))
 
 
+# Every enumerated key, on a config of a kind that accepts it.
+CHOICE_CONFIGS = {
+    "kind": MINIMAL_SYM,
+    "init.scheme": MINIMAL_SYM,
+    "regularized": dict(MINIMAL_SYM, kind="asym"),
+    "method": dict(MINIMAL_SYM, kind="eig"),
+}
+
+
+@pytest.mark.parametrize("value", ["SYM", "tiny", 1, 1.0, ["rgd"], None], ids=repr)
+@pytest.mark.parametrize("key", CHOICE_CONFIGS)
+def test_invalid_choice_is_named(key, value):
+    config = copy.deepcopy(CHOICE_CONFIGS[key])
+    *path, last = key.split(".")
+    (config[path[0]] if path else config)[last] = value
+    # 1 and 1.0 equal true, which "regularized" accepts: the rule compares types.
+    message = rf"invalid value for '{key}': expected one of \[.*\], got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(config)
+
+
 def test_colliding_alpha_variant_names_are_rejected():
     # 0.5 and 0.5000001 both format as "a0.5": their runs would write the
     # same CSV and the second would overwrite the first.
@@ -124,6 +145,18 @@ def test_parse_error_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_cli_names_an_unreadable_config(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    assert cli_main(["run", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: cannot read config file {path}")
 
 
 def test_shipped_configs_load():
@@ -267,6 +300,39 @@ def test_bench_jobs_run_at_the_alpha_their_scheme_derives():
     assert all(params["alpha"] == bound for _, _, _, params in jobs)
 
 
+TINY_PER_KIND = {
+    "sym": dict(MINIMAL_SYM, repeats=2),
+    "asym": dict(MINIMAL_SYM, kind="asym", eta=0.05, epsilon=1e-4, init={"alpha": [0.5, 1.0]}),
+    "eig": dict(MINIMAL_SYM, kind="eig", dim=6, rank=2, eta=0.05, epsilon=1e-4, max_iters=2000,
+                spectrum={"experiment": {"hi": 3, "lo": 2}}, method="rgd"),
+    "bench": dict(MINIMAL_SYM, kind="bench", dim=6, rank=2, eta=0.05, epsilon=1e-4, max_iters=2000,
+                  spectrum={"experiment": {"hi": 3, "lo": 2}}, repeats=2),
+}
+
+
+def test_each_kind_runs_the_solver_its_module_holds_when_the_job_runs(tmp_path, monkeypatch):
+    # A wrapper set on the solver's module after import is the one a job
+    # calls, as perfbench's instrumentation relies on.
+    calls = {}
+
+    def counting(module, name):
+        solver = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return solver(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((sym_gd, "run"), (asym_gd, "run_asym"), (eigenspace, "run_eig")):
+        counting(module, name)
+    solver_of = {"sym": "run", "asym": "run_asym", "eig": "run_eig", "bench": "run_eig"}
+    for kind, payload in TINY_PER_KIND.items():
+        calls.clear()
+        result = run_experiment(parse_config(dict(payload, out_dir=str(tmp_path / kind))))
+        assert calls == {solver_of[kind]: len(result.summary["runs"])}
+        assert len(result.summary["runs"]) == {"sym": 2, "asym": 4, "eig": 1, "bench": 4}[kind]
+
+
 def test_unwritable_out_dir(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
@@ -304,6 +370,23 @@ def test_emit_plot_single_curve_and_zero_floor(tmp_path):
     polylines = [e for e in tree.iter() if e.tag.endswith("polyline")]
     assert len(polylines) == 1
     assert "inf" not in polylines[0].attrib["points"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_emit_plot_leaves_non_finite_errors_out_of_the_axes(tmp_path):
+    # An overflowed run records an inf error, then NaN; a healthy curve
+    # plotted next to it keeps finite points and the labels stay numbers.
+    healthy = run_experiment(parse_config(dict(MINIMAL_SYM, out_dir=str(tmp_path / "healthy")))).csv_paths
+    overflowed = run_experiment(parse_config(dict(OVERFLOWING, out_dir=str(tmp_path / "overflow")))).csv_paths
+    tree = ET.parse(emit_plot(healthy + overflowed, tmp_path / "plot.svg"))
+    polylines = [e.attrib["points"].split() for e in tree.iter() if e.tag.endswith("polyline")]
+    with open(healthy[0], newline="") as fh:
+        assert len(polylines[0]) == len(list(csv.DictReader(fh)))
+    points = [float(v) for line in polylines for point in line for v in point.split(",")]
+    y_labels = [float(e.text) for e in tree.iter() if e.attrib.get("dominant-baseline") == "middle"]
+    assert points and len(y_labels) == 5
+    assert all(np.isfinite(points)) and all(np.isfinite(y_labels))
 
 
 def test_emit_plot_rejects_empty_csv(tmp_path):
@@ -448,14 +531,15 @@ OVERFLOWING = dict(MINIMAL_SYM, dim=20, rank=2, eta=1.0, max_iters=50, init={"al
                    spectrum={"explicit": [1.7e308, 1e308] + [1] * 18})
 
 
-@pytest.mark.parametrize("kind, method", [("sym", "both"), ("eig", "retraction_free"), ("eig", "rgd"), ("asym", "both")],
+@pytest.mark.parametrize("kind, variant", [("sym", {}), ("eig", {"method": "retraction_free"}),
+                                           ("eig", {"method": "rgd"}), ("asym", {})],
                          ids=["sym", "eig-rf", "eig-rgd", "asym"])
-def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_path, kind, method):
+def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_path, kind, variant):
     # Neither the terminal record nor the final state of an overflowed
     # iterate may raise; the CSVs and the summary are written. The summary's
     # theory fields are computed after every run: the step size bound
     # underflows towards 0 instead of raising OverflowError.
-    proc = _cli_subprocess(tmp_path, dict(OVERFLOWING, kind=kind, method=method))
+    proc = _cli_subprocess(tmp_path, dict(OVERFLOWING, kind=kind, **variant))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -463,6 +547,13 @@ def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_pat
     assert all(Path(run["csv_path"]).exists() for run in summary["runs"])
     assert summary["eta_within_theory"] is False
     assert summary["alpha_regimes"] == {"100": "moderate"}
+
+
+@pytest.mark.parametrize("kind, key, value", [("sym", "method", "rgd"), ("sym", "regularized", True),
+                                            ("eig", "regularized", "both"), ("asym", "method", "both")])
+def test_cli_rejects_the_variant_key_of_another_kind(tmp_path, kind, key, value):
+    proc = _cli_subprocess(tmp_path, dict(MINIMAL_SYM, kind=kind, **{key: value}))
+    _assert_config_error(proc, f"unknown config keys for kind '{kind}': {key}")
 
 
 @pytest.mark.parametrize("kind", ["sym", "asym", "eig"])

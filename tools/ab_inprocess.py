@@ -34,6 +34,13 @@ Cases (default: all of them):
   5e-7. A round's value is the loop time of the three runs per iteration,
   in us, so it times the record path (the record's singular values) on
   top of the step and the error.
+- ``asym-sloped``: one regularized ``run_asym`` at d=20000, r=10 on the
+  ``experiment`` spectrum from 7 to 2 over a tail sloped linearly from 1
+  to 0.5, eta 0.05, epsilon 1e-4, first and last record only, from
+  ``gaussian_pair(20000, 20000, 10, 1)`` at alpha 1. The sloped tail makes
+  the diagonal head longer than one row block, so it times the two-factor
+  step's row blocks (about 270 iterations). A round's value is the loop
+  time per iteration, in us.
 
 For each case it prints the median and quartiles of each side's round
 values, the rounds in which this tree was faster, and both sides'
@@ -57,7 +64,9 @@ from golden_diff import ROOT, source_dir
 D, R, SEEDS = 500, 10, range(1, 9)
 DENSE_D, DENSE_CALLS = 5000, 20
 SYM_D, SYM_ALPHAS = 1000, (0.5, 5e-4, 5e-7)
-CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "eig-step-dense", "sym-records")
+SLOPED_D = 20000
+CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "eig-step-dense", "sym-records",
+         "asym-sloped")
 
 
 def load(src: Path, name: str):
@@ -105,6 +114,16 @@ def records_case(lg):
     return 1e6 * wall / sum(iters), tuple(iters)
 
 
+def sloped_case(lg):
+    """One regularized two-factor run on a sloped tail: (loop us per
+    iteration, iterations)."""
+    values = np.concatenate([np.linspace(7, 2, R), np.linspace(1, 0.5, SLOPED_D - R)])
+    cfg = lg.SolverConfig(eta=0.05, epsilon=1e-4, max_iters=10000, record_every=10000)
+    state = lg.AsymState(*lg.gaussian_pair(SLOPED_D, SLOPED_D, R, 1))
+    trace = lg.run_asym(state, lg.make_target(values, R), cfg, regularized=True)
+    return 1e6 * trace.wall_time / trace.iterations, (trace.iterations,)
+
+
 def step_case(lg, sigma: np.ndarray, frame: np.ndarray):
     """One retraction-free step on a dense array: (ms per call, calls)."""
     state = lg.EigState(frame)
@@ -118,6 +137,8 @@ def case_runner(case: str):
     """``lg -> (value, counts)`` for one case, and the value's unit."""
     if case == "sym-records":
         return records_case, "us/iter"
+    if case == "asym-sloped":
+        return sloped_case, "us/iter"
     if case == "eig-step-dense":
         rng = np.random.default_rng(0)
         sigma = rng.normal(size=(DENSE_D, DENSE_D))
