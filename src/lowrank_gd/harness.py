@@ -3,9 +3,11 @@ SVG log-error plots out.
 
 Every kind builds one diagonal Target from the configured spectrum and
 hands it to its solver, as its row in ``_KINDS`` says; "bench" shares
-the "eig" row and times the two eigenspace methods back to back. Each
-(variant, repeat) is one job run by ``_execute``, one after another in
-the order ``_build_jobs`` lists them; BLAS threads are the only
+the "eig" row and times the two eigenspace methods back to back. The
+init scheme resolves at parse, so ``ExperimentConfig.alphas`` holds the
+alphas the runs start from. Each (variant, repeat) is one job, run by
+``_execute`` in the order ``_build_jobs`` lists them, which writes its CSV
+and returns its entry of the summary's runs; BLAS threads are the only
 parallelism. CSV columns are the fields of the solver's records. Repeats
 draw their seeds as base_seed + index, so re-running a config reproduces
 every CSV byte for byte.
@@ -70,30 +72,14 @@ class ExperimentConfig:
     eta: float
     epsilon: float
     max_iters: int
-    alphas: list
-    scheme: str
+    alphas: list                       # the alphas the runs start from, the init scheme applied
     seed: int
-    multiplier: float
     repeats: int
     record_every: int
     regularized: tuple                 # asym flags: (True,), (False,) or (True, False)
     methods: tuple
     out_dir: str
     raw: dict = field(repr=False)
-
-
-@dataclass
-class RunResult:
-    variant: str
-    repeat: int
-    seed: int
-    csv_path: str
-    converged: bool
-    diverged: bool
-    iterations: int
-    iterations_to_tolerance: int | None
-    final_error: float
-    wall_time_s: float
 
 
 @dataclass
@@ -190,11 +176,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not alphas:
         raise ConfigError("invalid value for 'init.alpha': list must be non-empty")
     alphas = [config_number({"alpha": a}, "init.alpha") for a in alphas]
-    names = [f"a{a:g}" for a in alphas]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"invalid value for 'init.alpha': {alphas[names.index(name)]!r} and "
-                              f"{alphas[i]!r} share the variant name {name!r}")
     seed = config_number(init, "init.seed", -1, integer=True, default=0)
     multiplier = config_number(init, "init.multiplier", default=1.0)
     repeats = config_number(raw, "repeats", integer=True, default=1)
@@ -220,16 +201,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"invalid value for 'spectrum': kind {kind!r} needs a PSD spectrum, "
             f"got smallest eigenvalue {target.eigenvalues[-1]:g}"
         )
-    if scheme == "small":
+    if scheme == "small":  # every run starts at multiplier x the bound; init.alpha is ignored
         try:
-            initialization.small_alpha_bound(target, eta, multiplier)
+            alphas = [initialization.small_alpha_bound(target, eta, multiplier)]
         except ValueError as exc:
             raise ConfigError(f"invalid value for 'init.scheme': 'small' needs a defined bound: {exc}") from exc
+    if kind == "bench" and len(alphas) > 1:
+        raise ConfigError(f"invalid value for 'init.alpha': kind 'bench' takes one alpha, got {alphas!r}")
+    names = [f"a{a:g}" for a in alphas]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"invalid value for 'init.alpha': {alphas[names.index(name)]!r} and "
+                              f"{alphas[i]!r} share the variant name {name!r}")
 
     return ExperimentConfig(
         kind=kind, dim=dim, rank=rank, values=values, eta=eta, epsilon=epsilon,
-        max_iters=max_iters, alphas=alphas, scheme=scheme, seed=seed,
-        multiplier=multiplier, repeats=repeats, record_every=record_every,
+        max_iters=max_iters, alphas=alphas, seed=seed, repeats=repeats, record_every=record_every,
         regularized=regularized, methods=methods, out_dir=out_dir, raw=raw,
     )
 
@@ -262,12 +249,6 @@ def _write_csv(path: Path, columns, rows):
             fh.write(_row_format(row) % row)
 
 
-def _alpha_for(config: ExperimentConfig, alpha: float, target) -> float:
-    if config.scheme == "small":
-        return initialization.small_alpha_bound(target, config.eta, config.multiplier)
-    return alpha
-
-
 def _alpha_regime(target, eta: float, alpha: float) -> str:
     try:
         bound = initialization.small_alpha_bound(target, eta)
@@ -287,16 +268,15 @@ def _eta_within_theory(target, eta: float):
 def _build_jobs(config: ExperimentConfig, target, seed_base: int):
     """(variant name, repeat, seed, params) of every run, in run order.
     ``params`` holds the alpha and the value of the kind's variant key.
-    Bench jobs use the first alpha only, name their variants without it
-    and interleave them within each repeat."""
+    Bench jobs name their variants without the alpha (a bench config has
+    one) and interleave them within each repeat. ``target`` goes unread."""
     key = _KINDS[config.kind].variant
     values = {"regularized": config.regularized, "method": config.methods}.get(key, ())
     variants = [(f"_{_SHORT[v]}", {key: v}) for v in values] or [("", {})]
     if config.kind == "bench":
-        alpha = _alpha_for(config, config.alphas[0], target)
-        return [(suffix[1:], rep, seed_base + rep, {"alpha": alpha, **entry})
+        return [(suffix[1:], rep, seed_base + rep, {"alpha": config.alphas[0], **entry})
                 for rep in range(config.repeats) for suffix, entry in variants]
-    return [(f"a{alpha:g}{suffix}", rep, seed_base + rep, {"alpha": _alpha_for(config, alpha, target), **entry})
+    return [(f"a{alpha:g}{suffix}", rep, seed_base + rep, {"alpha": alpha, **entry})
             for alpha in config.alphas for suffix, entry in variants for rep in range(config.repeats)]
 
 
@@ -308,44 +288,41 @@ def _draws(config: ExperimentConfig, seed: int) -> tuple:
     return (initialization.gaussian_factor(d, r, seed),)
 
 
-def _check_alphas(config: ExperimentConfig, jobs):
-    """Raise ConfigError, before any run writes a file, when a job's alpha
-    would overflow its initial factor. Each (seed, alpha) is drawn once and
-    the draws are dropped, so the check holds no factor beyond one job's;
-    only the draw's largest magnitude is scaled."""
-    for seed, alpha in dict.fromkeys((seed, params["alpha"]) for _, _, seed, params in jobs):
-        for draw in _draws(config, seed):
-            if not math.isfinite(alpha * max(float(draw.max()), -float(draw.min()))):
+def _check_alphas(config: ExperimentConfig, seed_base: int):
+    """Raise ConfigError, before any run writes a file, when an alpha would
+    overflow the initial factor of a repeat. Each repeat's seed is drawn
+    once and only the draw's largest magnitude is kept, so the check holds
+    no factor beyond one run's; every alpha is scaled against it."""
+    seeds = range(seed_base, seed_base + config.repeats)
+    peaks = [max(max(float(d.max()), -float(d.min())) for d in _draws(config, seed)) for seed in seeds]
+    for alpha in config.alphas:
+        for seed, peak in zip(seeds, peaks):
+            if not math.isfinite(alpha * peak):
                 raise ConfigError(f"invalid value for 'init.alpha': {alpha!r} overflows the initial "
                                   f"factor drawn with seed {seed}")
 
 
-def _solve(config: ExperimentConfig, target, seed: int, params: dict) -> engine.Trace:
-    """One run from ``alpha`` times its draws; ``_check_alphas`` has
-    checked that the product is finite."""
+def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> dict:
+    """Run one job from alpha times its seed's draws (``_check_alphas`` has
+    checked that the product is finite), write its CSV and return its entry
+    of the summary's runs; a diverged run keeps its partial trace. The
+    solver is looked up in ``_KINDS`` when the job runs."""
+    name, rep, seed, params = job
     row = _KINDS[config.kind]
     draws = [params["alpha"] * draw for draw in _draws(config, seed)]
     solver_cfg = engine.SolverConfig(config.eta, config.epsilon, config.max_iters, config.record_every)
-    return row.solve(draws, target, solver_cfg, params.get(row.variant))
-
-
-def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> RunResult:
-    """Run one job and write its CSV; a diverged run keeps its partial trace."""
-    name, rep, seed, params = job
     diverged = False
     try:
-        trace = _solve(config, target, seed, params)
+        trace = row.solve(draws, target, solver_cfg, params.get(row.variant))
     except engine.DivergenceError as exc:
         trace, diverged = exc.trace, True
     columns = [f.name for f in fields(trace.records[0])]
     csv_path = out_dir / f"{config.kind}_{name}_rep{rep}.csv"
     _write_csv(csv_path, columns, (vars(rec).values() for rec in trace.records))
-    return RunResult(
-        variant=name, repeat=rep, seed=seed, csv_path=str(csv_path),
-        converged=trace.converged, diverged=diverged, iterations=trace.iterations,
-        iterations_to_tolerance=trace.iterations_to(config.epsilon),
-        final_error=trace.final_error, wall_time_s=trace.wall_time,
-    )
+    return {"variant": name, "repeat": rep, "seed": seed, "csv_path": str(csv_path),
+            "converged": trace.converged, "diverged": diverged, "iterations": trace.iterations,
+            "iterations_to_tolerance": trace.iterations_to(config.epsilon),
+            "final_error": trace.final_error, "wall_time_s": trace.wall_time}
 
 
 def _run_bench(config: ExperimentConfig, runs) -> dict:
@@ -353,13 +330,13 @@ def _run_bench(config: ExperimentConfig, runs) -> dict:
     the runs of the bench jobs (interleaved rf, rgd, rf, ... by repeat)."""
     methods_summary = {}
     for method in config.methods:
-        mine = [run for run in runs if run.variant == _SHORT[method]]
-        times = np.array([run.wall_time_s for run in mine])
+        mine = [run for run in runs if run["variant"] == _SHORT[method]]
+        times = np.array([run["wall_time_s"] for run in mine])
         methods_summary[method] = {
             "runs": len(mine),
             "total_wall_time_s": float(times.sum()),
             "median_wall_time_s": float(np.median(times)),
-            "median_iterations": float(np.median([run.iterations for run in mine])),
+            "median_iterations": float(np.median([run["iterations"] for run in mine])),
         }
     saving = None
     if set(methods_summary) == set(eigenspace.METHODS):
@@ -389,11 +366,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
     seed_base = config.seed if seed_override is None else int(seed_override)
     target = spectrum.make_diagonal_target(config.values, config.dim, config.rank)
 
-    jobs = _build_jobs(config, target, seed_base)
-    _check_alphas(config, jobs)
-    runs = [_execute(config, target, job, out) for job in jobs]
-    csv_paths = [res.csv_path for res in runs]
-    diverged_any = any(res.diverged for res in runs)
+    _check_alphas(config, seed_base)
+    runs = [_execute(config, target, job, out) for job in _build_jobs(config, target, seed_base)]
+    diverged_any = any(run["diverged"] for run in runs)
 
     summary = {
         "kind": config.kind,
@@ -401,11 +376,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
         "epsilon": config.epsilon,
         "eta": config.eta,
         "eta_within_theory": _eta_within_theory(target, config.eta),
-        "alpha_regimes": {
-            f"{a:g}": _alpha_regime(target, config.eta, _alpha_for(config, a, target))
-            for a in config.alphas
-        },
-        "runs": [vars(r) for r in runs],
+        "alpha_regimes": {f"{a:g}": _alpha_regime(target, config.eta, a) for a in config.alphas},
+        "runs": runs,
         "any_diverged": diverged_any,
         "config": config.raw,
     }
@@ -415,7 +387,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None) -
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     return ExperimentResult(
         summary=summary, summary_path=str(summary_path),
-        csv_paths=csv_paths, diverged=diverged_any,
+        csv_paths=[run["csv_path"] for run in runs], diverged=diverged_any,
     )
 
 
@@ -452,7 +424,9 @@ def _read_curve(path):
 def emit_plot(csv_paths, out_path) -> str:
     """Render log10(error) against iteration as a self-contained SVG, one
     polyline per CSV. Errors are clipped at 1e-16 before taking logs, and
-    rows with an inf or NaN error are left out of the axes and polylines."""
+    rows with an inf or NaN error are left out of the axes and polylines;
+    a CSV with no finite error gets no polyline and a "(no finite error)"
+    legend label."""
     if not csv_paths:
         raise ValueError("no CSV paths given")
     curves = [_read_curve(p) for p in csv_paths]
@@ -501,8 +475,9 @@ def emit_plot(csv_paths, out_path) -> str:
     for i, ((xs, ys), path) in enumerate(zip(curves, csv_paths)):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(xs, ys))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        label = Path(path).stem
+        label = Path(path).stem + ("" if points else " (no finite error)")
+        if points:
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         parts.append(
             f'<text x="{_ML + plot_w - 6}" y="{_MT + 16 + 14 * i}" font-size="11" '
             f'text-anchor="end" fill="{color}">{label}</text>'

@@ -294,10 +294,42 @@ def test_bench_jobs_run_at_the_alpha_their_scheme_derives():
     }
     cfg = parse_config(payload)
     target = make_diagonal_target(cfg.values, cfg.dim, cfg.rank)
-    bound = small_alpha_bound(target, cfg.eta, cfg.multiplier)
+    bound = small_alpha_bound(target, cfg.eta, 2.0)
     jobs = harness._build_jobs(cfg, target, cfg.seed)
     assert len(jobs) == 4 and bound < 1.0
     assert all(params["alpha"] == bound for _, _, _, params in jobs)
+
+
+SMALL_SYM = {
+    "kind": "sym", "dim": 40, "rank": 3,
+    "spectrum": {"experiment": {"hi": 7, "lo": 2}},
+    "eta": 0.05, "epsilon": 1e-4, "max_iters": 20, "init": {"scheme": "small", "seed": 1},
+}
+
+
+@pytest.mark.parametrize("alpha", [{}, {"alpha": [0.5, 0.1]}], ids=["no_alpha", "alpha_list"])
+def test_small_scheme_runs_and_names_the_bound_once(tmp_path, alpha):
+    # init.alpha is ignored under "small": one run per repeat, named and
+    # classified by the alpha it starts from.
+    cfg = parse_config(dict(SMALL_SYM, init=dict(SMALL_SYM["init"], **alpha), out_dir=str(tmp_path)))
+    bound = small_alpha_bound(make_diagonal_target(cfg.values, cfg.dim, cfg.rank), cfg.eta)
+    assert cfg.alphas == [bound]
+    summary = run_experiment(cfg).summary
+    (run,) = summary["runs"]
+    assert run["variant"] == f"a{bound:g}" and Path(run["csv_path"]).name == f"sym_a{bound:g}_rep0.csv"
+    assert summary["alpha_regimes"] == {f"{bound:g}": "small"}
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [f"sym_a{bound:g}_rep0.csv"]
+
+
+def test_overflow_check_draws_each_seed_once(tmp_path, monkeypatch):
+    # 3 alphas x 2 repeats: 2 draws for the check and 6 for the runs.
+    calls = []
+    draw = harness.initialization.gaussian_factor
+    monkeypatch.setattr(harness.initialization, "gaussian_factor",
+                        lambda *args: calls.append(args) or draw(*args))
+    run_experiment(parse_config(dict(MINIMAL_SYM, init={"alpha": [0.5, 0.2, 0.1], "seed": 1}, repeats=2,
+                                     max_iters=10, out_dir=str(tmp_path))))
+    assert len(calls) == 8
 
 
 TINY_PER_KIND = {
@@ -387,6 +419,19 @@ def test_emit_plot_leaves_non_finite_errors_out_of_the_axes(tmp_path):
     y_labels = [float(e.text) for e in tree.iter() if e.attrib.get("dominant-baseline") == "middle"]
     assert points and len(y_labels) == 5
     assert all(np.isfinite(points)) and all(np.isfinite(y_labels))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_emit_plot_labels_a_curve_with_no_finite_error(tmp_path):
+    # The overflowed run's CSV holds inf, then NaN: no empty polyline, and
+    # its legend label says why it has no curve.
+    healthy = run_experiment(parse_config(dict(MINIMAL_SYM, out_dir=str(tmp_path / "healthy")))).csv_paths
+    overflowed = run_experiment(parse_config(dict(OVERFLOWING, out_dir=str(tmp_path / "overflow")))).csv_paths
+    tree = ET.parse(emit_plot(healthy + overflowed, tmp_path / "plot.svg"))
+    assert len([e for e in tree.iter() if e.tag.endswith("polyline")]) == 1
+    labels = [e.text for e in tree.iter() if e.attrib.get("text-anchor") == "end" and "fill" in e.attrib]
+    assert labels == [Path(healthy[0]).stem, f"{Path(overflowed[0]).stem} (no finite error)"]
 
 
 def test_emit_plot_rejects_empty_csv(tmp_path):
@@ -542,6 +587,7 @@ def test_cli_run_on_an_overflowing_spectrum_diverges_without_a_traceback(tmp_pat
     proc = _cli_subprocess(tmp_path, dict(OVERFLOWING, kind=kind, **variant))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["any_diverged"] and summary["runs"][0]["diverged"]
     assert all(Path(run["csv_path"]).exists() for run in summary["runs"])
@@ -573,6 +619,16 @@ def test_cli_checks_every_alpha_before_the_first_run_writes(tmp_path):
     payload = dict(MINIMAL_SYM, init={"alpha": [0.5, 1e308], "seed": 3})
     proc = _cli_subprocess(tmp_path, payload)
     _assert_config_error(proc, "'init.alpha'")
+    out = tmp_path / "out"
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_cli_rejects_a_bench_alpha_list(tmp_path):
+    # A bench config times the two methods at one alpha; a list fails by
+    # name before any run writes.
+    payload = dict(MINIMAL_SYM, kind="bench", dim=6, rank=2, spectrum={"experiment": {"hi": 3, "lo": 2}},
+                   eta=0.05, epsilon=1e-4, max_iters=2000, init={"alpha": [1.0, 1e-9], "seed": 1})
+    _assert_config_error(_cli_subprocess(tmp_path, payload, "bench"), "'init.alpha': kind 'bench'")
     out = tmp_path / "out"
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
 

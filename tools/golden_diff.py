@@ -12,13 +12,18 @@ config it prints how many CSV hashes moved, whether the row counts and
 the ``iter``, ``in_r`` and ``in_r2`` columns are equal, and the worst
 absolute and relative difference of every other column. A relative
 difference is taken against the larger magnitude of the two entries.
+It then compares the ``runs`` lists of the two ``summary.json`` files in
+order, on each run's variant, repeat, seed, CSV file name, iterations,
+converged and diverged, and prints ``summary runs equal`` or the first
+entry that differs.
 
 It never writes ``tests/golden_csv_sha256.json``. With ``--keep DIR`` the
 CSVs stay under ``DIR/this`` and ``DIR/parent``, so the hashes of the ones
 that moved can be pinned by hand after review.
 
-Exit status: 1 when a CSV is missing on one side, or a row count, a
-header or one of the three exact columns differs; 0 otherwise.
+Exit status: 1 when a CSV is missing on one side, a row count, a header
+or one of the three exact columns differs, or the summaries' runs differ;
+0 otherwise.
 """
 
 import argparse
@@ -30,10 +35,12 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXACT_COLUMNS = ("iter", "in_r", "in_r2")
+SUMMARY_FIELDS = ("variant", "repeat", "seed", "csv_path", "iterations", "converged", "diverged")
 
 # Runs one config with the package on PYTHONPATH: argv is the config file
 # and the output directory.
@@ -110,6 +117,20 @@ def compare(this: Path, parent: Path) -> tuple:
     return lines, bool(broken)
 
 
+def summary_entry(run: dict) -> dict:
+    """The compared fields of one summary run; a CSV path by its file name."""
+    return {f: Path(run[f]).name if f == "csv_path" else run[f] for f in SUMMARY_FIELDS}
+
+
+def compare_summaries(this: dict, parent: dict) -> tuple:
+    """(report line, whether the runs differ) for two ``summary.json`` objects."""
+    pairs = zip_longest(map(summary_entry, this["runs"]), map(summary_entry, parent["runs"]))
+    for i, (a, b) in enumerate(pairs):
+        if a != b:
+            return f"  summary run {i} differs: this {a} != parent {b}", True
+    return "  summary runs equal", False
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root or src directory of the parent tree")
@@ -129,9 +150,11 @@ def main(argv=None) -> int:
             for name, src in trees.items():
                 write_csvs(src, config, outs[name])
             lines, broken = compare(outs["this"], outs["parent"])
+            line, differs = compare_summaries(*(json.loads((outs[name] / "summary.json").read_text())
+                                                for name in ("this", "parent")))
             print(f"{config.stem} ({json.loads(config.read_text())['kind']}):", flush=True)
-            print("\n".join(lines), flush=True)
-            status |= broken
+            print("\n".join(lines + [line]), flush=True)
+            status |= broken or differs
     return int(status)
 
 
