@@ -72,7 +72,7 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
     of the Grams, formed as the error closure forms them, as in
     ``run_asym``, so a run equals repeated steps bit for bit.
     """
-    op = Sigma(sigma, svd=True)
+    op = Sigma(sigma)
     d1, d2, r = state.x.shape[0], state.y.shape[0], state.rank
     op.check_shape(d1, d2)
     step = op.step_map(eta, r, pair=True)
@@ -112,7 +112,8 @@ def lift(state: AsymState, sigma=None) -> LiftedState:
     lifted = None
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
-        Sigma(sigma).check_shape(d1)
+        if sigma.shape != (d1, d1):
+            raise ValueError(f"sigma of shape {sigma.shape} does not match factors {d1}x{d1}")
         lifted = np.zeros((2 * d1, 2 * d1))
         lifted[:d1, :d1] = 2.0 * sigma
         lifted[d1:, d1:] = -2.0 * sigma
@@ -132,8 +133,8 @@ def _block_grams(v: np.ndarray, r: int):
 
 def _grams(op: Sigma, r: int, x: np.ndarray, y: np.ndarray):
     """(X^T X, Y^T Y) as the error closure returns them: summed from the
-    row blocks for a diagonal Sigma, whose error reads those blocks, and
-    formed directly for a dense one."""
+    row blocks for a diagonal Sigma, whose block identity reads those
+    blocks, and formed directly for a dense one."""
     if op.diag is None:
         return x.T @ x, y.T @ y
     (gux, gjx), (guy, gjy) = _block_grams(x, r), _block_grams(y, r)
@@ -150,13 +151,13 @@ def _error_fn(op: Sigma, r: int):
     """Closure for ||Sigma_r - X Y^T||_F with Sigma_r the rank-r SVD
     truncation, called on the two factors (the halves of a run's joint
     iterate). It returns the error and ``(X^T X, Y^T Y, balance gap)`` for
-    the step, the guard and the record. A diagonal operator (its own SVD)
-    uses a block identity that avoids forming d1 x d2 matrices per call:
-    the squared error is four r x r inner products, and each Gram is
-    summed from the blocks it forms (see ``_grams``)."""
+    the step, the guard and the record. A diagonal operator that is its own
+    SVD (last entry >= 0) uses a block identity that avoids forming d1 x d2
+    matrices per call: four r x r inner products, with the Grams summed from
+    the blocks (see ``_grams``); any other takes the SVD of its matrix."""
     if r < 1 or r > min(op.shape):
         raise ValueError(f"rank {r} out of range for sigma of shape {op.shape}")
-    if op.diag is not None:
+    if op.diag is not None and op.diag[-1] >= 0:
         s_r = np.diag(op.diag[:r])
 
         def err(x: np.ndarray, y: np.ndarray):
@@ -167,7 +168,7 @@ def _error_fn(op: Sigma, r: int):
 
         return err
 
-    left, svals, right = linalg.svd(op.matrix)
+    left, svals, right = linalg.svd(op.matrix if op.diag is None else np.diag(op.diag))
     sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
 
     def err(x: np.ndarray, y: np.ndarray):
@@ -178,7 +179,7 @@ def _error_fn(op: Sigma, r: int):
 
 def asym_error(state: AsymState, sigma, r: int) -> float:
     """Frobenius error of X Y^T against the rank-r truncation of sigma."""
-    op = Sigma(sigma, svd=True)
+    op = Sigma(sigma)
     op.check_shape(state.x.shape[0], state.y.shape[0])
     return _error_fn(op, r)(state.x, state.y)[0]
 
@@ -198,7 +199,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     DivergenceError, carrying the trace so far, if either factor norm hits
     the divergence guard.
     """
-    op = Sigma(sigma, svd=True)
+    op = Sigma(sigma)
     d1, d2, r = state0.x.shape[0], state0.y.shape[0], state0.rank
     op.check_shape(d1, d2)
     err_fn = _error_fn(op, r)

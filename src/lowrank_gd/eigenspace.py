@@ -59,14 +59,12 @@ def rf_step(state: EigState, sigma, eta: float) -> EigState:
     """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
     Target or a symmetric array. The step runs in ``linalg.step_buffers``,
     as ``run_eig`` does, so a run equals repeated steps bit for bit: the
-    sandwiched ``Sigma.step_map`` with the multiplier (eta mu) L^T L, mu
-    from ``Sigma.split``, to which the map adds L^T (eta R) L."""
+    sandwiched ``Sigma.step_map`` given the Gram L^T L, formed as the error
+    closure of ``run_eig`` forms it."""
     op = Sigma(sigma)
     op.check_shape(state.dim)
-    step = op.step_map(eta, state.rank)
     l, out = linalg.step_buffers(state.l)
-    # The Gram L^T L is formed as the error closure forms it in ``run_eig``.
-    return EigState(step(l, (eta * op.split()[0]) * (l.T @ l), out, sandwich=True))
+    return EigState(op.step_map(eta, state.rank)(l, l.T @ l, out, sandwich=True))
 
 
 def retract(l_tilde) -> np.ndarray:
@@ -156,7 +154,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         ``wall_time`` measures the iteration loop only (the retraction
         included), so benchmark comparisons exclude setup. Frames live in
         ``linalg.step_buffers``, and each step is the sandwiched
-        ``Sigma.step_map`` with the multiplier (eta mu) L^T L.
+        ``Sigma.step_map`` given the error closure's Gram L^T L.
 
     Raises
     ------
@@ -174,7 +172,6 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon
     step = op.step_map(eta, state0.rank)
-    eta_mu = eta * op.split()[0]
     l0, spare = linalg.step_buffers(state0.l)
 
     def measure(l):
@@ -188,6 +185,6 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         return l, math.sqrt(np.trace(gram)), err, err <= epsilon, gram
 
     return iterate(
-        l0, spare, lambda l, gram, out: step(l, eta_mu * gram, out, sandwich=True), measure,
+        l0, spare, lambda l, gram, out: step(l, gram, out, sandwich=True), measure,
         lambda t, l, err, _: EigRecord(t, err), config, EigState,
     )

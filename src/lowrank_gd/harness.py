@@ -289,17 +289,26 @@ def _draws(config: ExperimentConfig, seed: int) -> tuple:
 
 
 def _check_alphas(config: ExperimentConfig, seed_base: int):
-    """Raise ConfigError, before any run writes a file, when an alpha would
-    overflow the initial factor of a repeat. Each repeat's seed is drawn
-    once and only the draw's largest magnitude is kept, so the check holds
-    no factor beyond one run's; every alpha is scaled against it."""
-    seeds = range(seed_base, seed_base + config.repeats)
-    peaks = [max(max(float(d.max()), -float(d.min())) for d in _draws(config, seed)) for seed in seeds]
-    for alpha in config.alphas:
-        for seed, peak in zip(seeds, peaks):
+    """Raise ConfigError, before any run writes a file, naming the first
+    alpha (alpha-major) that overflows a repeat's initial factor or, where
+    runs retract, gives a frame the retraction rejects. Each repeat's seed
+    is drawn once, so the check holds no factor beyond one run's."""
+    retracts = _KINDS[config.kind].variant == "method" and "rgd" in config.methods
+    faults = []
+    for seed in range(seed_base, seed_base + config.repeats):
+        draws = _draws(config, seed)
+        peak = max(max(float(d.max()), -float(d.min())) for d in draws)
+        for i, alpha in enumerate(config.alphas):
             if not math.isfinite(alpha * peak):
-                raise ConfigError(f"invalid value for 'init.alpha': {alpha!r} overflows the initial "
-                                  f"factor drawn with seed {seed}")
+                faults.append((i, seed, "overflows the initial factor"))
+            elif retracts:
+                try:
+                    eigenspace.retract(alpha * draws[0])
+                except ValueError as exc:
+                    faults.append((i, seed, f"makes the retraction fail ({exc}) on the initial frame"))
+    if faults:
+        i, seed, fault = min(faults)
+        raise ConfigError(f"invalid value for 'init.alpha': {config.alphas[i]!r} {fault} drawn with seed {seed}")
 
 
 def _execute(config: ExperimentConfig, target, job, out_dir: Path) -> dict:

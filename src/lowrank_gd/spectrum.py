@@ -110,38 +110,32 @@ class Target:
 class Sigma:
     """The target as a linear operator on tall factors.
 
-    Built from a Target or an array. A diagonal operator keeps the
-    diagonal in ``diag`` and applies it elementwise; a dense one applies
-    ``matrix`` (square or rectangular; for a Target, its ``Target.matrix``).
-    A Target without a basis is diagonal; an array is dense. With
-    ``svd=True`` (the two-factor problem, whose rank-r truncation is by
-    singular values) the diagonal path also needs descending non-negative
-    entries, so that the diagonal is its own SVD: a Target with a negative
-    eigenvalue is then dense, and an array is diagonal when it is a square
-    diagonal matrix with such entries. Every step sees the operator as a
-    flat floor plus a head, mu I + R (``split``), so each step is one
-    matmul of the iterate plus a product on the head's rows: ``step_map``,
-    alone for the symmetric and eigenspace steps and ``pair`` for the
-    two-factor one, whose iterate holds both factors side by side. Each
-    solver builds the map's multiplier itself, and each map keeps its own
-    head scratch; the iterate and its spare come from
-    ``linalg.step_buffers``, column-major like the scratch.
+    Built from a Target or an array, it decides only how Sigma is applied.
+    A diagonal operator keeps the diagonal in ``diag`` and applies it
+    elementwise; a dense one applies ``matrix`` (square or rectangular; for
+    a Target, its ``Target.matrix``). A Target without a basis is diagonal
+    at any sign, and so is a square diagonal array whose entries do not
+    increase, as ``split`` needs; anything else is dense. Every step sees
+    the operator as a flat floor plus a head, mu I + R (``split``), so each
+    step is one matmul of the iterate plus a product on the head's rows:
+    ``step_map``, alone for the symmetric and eigenspace steps and ``pair``
+    for the two-factor one, with the multiplier each solver builds.
     """
 
-    def __init__(self, source, svd: bool = False):
+    def __init__(self, source):
         self.diag = self.matrix = None
         if isinstance(source, Target):
             self.shape = (source.dim, source.dim)
-            if source.basis is None and not (svd and source.eigenvalues[-1] < 0):
+            if source.basis is None:
                 self.diag = source.eigenvalues
             else:
                 self.matrix = source.matrix
             return
         a = np.asarray(source, dtype=np.float64)
         self.shape = a.shape
-        if svd and a.ndim == 2 and a.shape[0] == a.shape[1]:
+        if a.ndim == 2 and a.shape[0] == a.shape[1]:
             d = np.diag(a)
-            if not (np.any(d < 0) or np.any(np.diff(d) > 0) or np.any(a - np.diag(d))):
+            if not np.any(np.diff(d) > 0) and np.count_nonzero(a) == np.count_nonzero(d):
                 self.diag = d.copy()
         if self.diag is None:
             self.matrix = a
@@ -169,21 +163,22 @@ class Sigma:
         from ``linalg.step_buffers``, S = [[I, eta mu I], [eta mu I, I]] and
         H(v) = [eta R Y | eta R^T X], zero past each factor's rows; padding
         rows stay zero, as mu = 0 whenever the factors differ in length.
-        ``sandwich`` first adds v^T H(v) to ``m``. H is zero past row s, so
-        the update is one matmul v (S - m) plus H(v) on the leading s rows,
-        formed in the map's column-major head scratch: in one piece, for
-        the sandwich and the update alike, when it fits one block (a spiked
-        spectrum, or a dense operator, whose scratch holds all s = d rows),
-        else in row blocks, each block's rows of the matmul formed beside
-        it while both sit in L2. No step allocates a d x r array."""
+        ``sandwich`` takes v^T v in ``m`` and first makes it eta v^T Sigma v,
+        eta mu m plus v^T H(v). H is zero past row s, so the update is one
+        matmul v (S - m) plus H(v) on the leading s rows, formed in the
+        map's column-major head scratch: in one piece, for the sandwich and
+        the update alike, when it fits one block (a spiked spectrum, or a
+        dense operator, whose scratch holds all s = d rows), else in row
+        blocks, each block's rows of the matmul formed beside it while both
+        sit in L2. No step allocates a d x r array."""
         check_eta(eta)
         mu, s, rest = self.split()
-        r = rank
+        r, eta_mu = rank, eta * mu
         # The iterate's column halves: H writes halves[i] from sources[i],
         # the other factor's half when paired, v itself alone.
         halves = (slice(0, r), slice(r, 2 * r))[:1 + pair]
         sources, width = halves[::-1], r * len(halves)
-        scale = np.kron([[1.0, eta * mu], [eta * mu, 1.0]] if pair else [[1.0 + eta * mu]], np.eye(r))
+        scale = np.kron([[1.0, eta_mu], [eta_mu, 1.0]] if pair else [[1.0 + eta_mu]], np.eye(r))
         if self.diag is not None:
             col = (eta * rest)[:, None]
 
@@ -208,19 +203,19 @@ class Sigma:
         scratch = linalg.aligned_empty(s if self.diag is None else linalg.block_rows(s, r), width)
 
         def step(v, m, out, sandwich=False):
-            if s <= scratch.shape[0]:
-                # The head fits one block: formed once, for the Gram and the
-                # update, around one matmul over every row.
-                block = head(v, 0, s, scratch)
-                if sandwich:
-                    m += v[:s].T @ block
-                np.matmul(v, np.subtract(scale, m, out=m), out=out)
+            # A head that fits one block is formed once, for the Gram and the
+            # update alike, around one matmul over every row.
+            block = head(v, 0, s, scratch) if s <= scratch.shape[0] else None
+            if sandwich:
+                m *= eta_mu
+                m += v[:s].T @ block if block is not None else sum(
+                    v[start:stop].T @ block for start, stop, block in _blocks(head, v, s, scratch))
+            k = np.subtract(scale, m, out=m)
+            if block is not None:
+                np.matmul(v, k, out=out)
                 top = out[:s]
                 np.add(top, block, out=top)
                 return out
-            if sandwich:
-                m += sum(v[start:stop].T @ block for start, stop, block in _blocks(head, v, s, scratch))
-            k = np.subtract(scale, m, out=m)
             # Each head block's rows of the matmul are formed next to the
             # block's product, while both sit in L2; the floor rows at once.
             np.matmul(v[s:], k, out=out[s:])

@@ -186,7 +186,8 @@ def eigen_blocks(state: FactorState, target: Target):
 def _evaluate(state: FactorState, target: Target):
     """The error and ``eigen_blocks`` of one iterate, after checking that
     its rows match the target's dimension."""
-    Sigma(target).check_shape(state.dim)
+    if state.dim != target.dim:
+        raise ValueError(f"target of dimension {target.dim} does not match factor rows {state.dim}")
     return _error_fn(target)(state.x)
 
 

@@ -197,10 +197,29 @@ def _run_and_step(state, sigma, regularized, iters, eta=0.05):
 
 
 @pytest.mark.parametrize("regularized", [True, False])
+def test_indefinite_diagonal_target_is_truncated_by_singular_values_without_its_matrix(rng, regularized):
+    # At r = 2 the SVD truncation of diag(3, 2, 1, -5) keeps -5 and 3, not
+    # the two leading eigenvalues. The step applies the diagonal
+    # elementwise and only the error takes an SVD, of the diagonal itself,
+    # so the Target never forms its dense matrix.
+    target = make_diagonal_target([3.0, 2.0, 1.0, -5.0], 4, 2)
+    state = AsymState(0.1 * rng.normal(size=(4, 2)), 0.1 * rng.normal(size=(4, 2)))
+    u, s, vt = np.linalg.svd(np.diag(target.eigenvalues))
+    want = np.linalg.norm((u[:, :2] * s[:2]) @ vt[:2] - state.x @ state.y.T)
+    assert asym_error(state, target, 2) == pytest.approx(want, rel=1e-12)
+    trace, manual = _run_and_step(state, target, regularized, 41)
+    assert trace.iterations == 41
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+    assert trace.final_error == pytest.approx(asym_error(manual, target, 2), rel=1e-12)
+    assert target._matrix is None
+
+
+@pytest.mark.parametrize("regularized", [True, False])
 @pytest.mark.parametrize("problem", ["indefinite", "rectangular"])
 def test_run_matches_repeated_steps_on_dense_sigma(rng, problem, regularized):
-    # The run applies a dense Sigma into reused buffers, asym_step into
-    # fresh ones: an indefinite Target (not its own SVD) and a d1 != d2 array.
+    # The run applies Sigma into reused buffers, asym_step into fresh ones:
+    # an indefinite Target (not its own SVD) and a dense d1 != d2 array.
     if problem == "indefinite":
         sigma = make_diagonal_target([3.0, 2.0, -1.0, -2.0], 4, 2)
         state = AsymState(0.1 * rng.normal(size=(4, 2)), 0.1 * rng.normal(size=(4, 2)))

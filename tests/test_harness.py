@@ -623,6 +623,43 @@ def test_cli_checks_every_alpha_before_the_first_run_writes(tmp_path):
     assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
 
 
+TINY_ALPHA_EIG = dict(MINIMAL_SYM, kind="eig", dim=50, rank=3, spectrum={"experiment": {"hi": 7, "lo": 2}},
+                      eta=0.05, epsilon=1e-4, init={"alpha": 1e-170, "seed": 1}, method="both")
+
+
+@pytest.mark.parametrize("kind, command", [("eig", "run"), ("bench", "bench")])
+def test_cli_names_an_init_alpha_too_small_to_retract(tmp_path, kind, command):
+    # At 1e-170 the initial frame's Gram underflows to zero and the polar
+    # retraction rejects it as rank deficient: the config fails by name,
+    # with its seed, before the retraction-free run writes its CSV.
+    proc = _cli_subprocess(tmp_path, dict(TINY_ALPHA_EIG, kind=kind), command)
+    _assert_config_error(proc, "'init.alpha': 1e-170")
+    assert len(proc.stderr.strip().splitlines()) == 1 and "seed 1" in proc.stderr
+    out = tmp_path / "out"
+    assert not list(out.glob("*.csv")) and not (out / "summary.json").exists()
+
+
+def test_a_retraction_free_run_takes_an_alpha_too_small_to_retract(tmp_path):
+    proc = _cli_subprocess(tmp_path, dict(TINY_ALPHA_EIG, max_iters=50, method="retraction_free"))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [run["iterations"] for run in summary["runs"]] == [50]
+
+
+def test_retraction_check_reports_the_first_alpha_and_draws_each_seed_once(tmp_path, monkeypatch):
+    # Only 1e-170 fails, and with every seed: the message names it with
+    # the first seed, after 2 draws for 3 alphas x 2 repeats.
+    calls = []
+    draw = harness.initialization.gaussian_factor
+    monkeypatch.setattr(harness.initialization, "gaussian_factor",
+                        lambda *args: calls.append(args) or draw(*args))
+    payload = dict(TINY_ALPHA_EIG, init={"alpha": [0.5, 1e-170, 1e-180], "seed": 4}, repeats=2,
+                   out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=r"'init.alpha': 1e-170 .* seed 4$"):
+        run_experiment(parse_config(payload))
+    assert len(calls) == 2 and not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_rejects_a_bench_alpha_list(tmp_path):
     # A bench config times the two methods at one alpha; a list fails by
     # name before any run writes.

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,17 +139,35 @@ def test_basis_must_be_orthonormal():
 # --- Sigma operator -------------------------------------------------------------
 
 def test_sigma_path_choice():
-    nonneg = make_diagonal_target([3.0, 2.0, 1.0, 0.0], 4, 2)
-    indefinite = make_diagonal_target([3.0, 2.0, 1.0, -5.0], 4, 2)
-    assert Sigma(nonneg).diag is not None and Sigma(nonneg, svd=True).diag is not None
-    # eigen-truncation of a diagonal target is its first r entries; SVD
-    # truncation is not once an entry is negative
-    assert Sigma(indefinite).diag is not None
-    assert Sigma(indefinite, svd=True).diag is None
-    assert Sigma(np.diag([3.0, 2.0, 1.0]), svd=True).diag is not None
-    assert Sigma(np.diag([3.0, 2.0, 1.0])).diag is None
-    assert Sigma(np.diag([1.0, 2.0, 3.0]), svd=True).diag is None
-    assert Sigma(np.ones((3, 3)), svd=True).diag is None
+    # One rule: a Target without a basis is diagonal at any sign, and so is
+    # a square diagonal array whose entries do not increase; anything else
+    # is dense. The two-factor solver's truncation rule lives in asym_gd.
+    for values in ([3.0, 2.0, 1.0, 0.0], [3.0, 2.0, 1.0, -5.0]):
+        assert Sigma(make_diagonal_target(values, 4, 2)).diag is not None
+    np.testing.assert_array_equal(Sigma(np.diag([3.0, 2.0, 1.0])).diag, [3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(Sigma(np.diag([3.0, 2.0, -1.0])).diag, [3.0, 2.0, -1.0])
+    off_diagonal = np.diag([3.0, 2.0, 1.0])
+    off_diagonal[2, 0] = 1e-300
+    for dense in (np.diag([1.0, 2.0, 3.0]), off_diagonal, np.ones((3, 3)), np.diag([3.0, 2.0, 1.0])[:, :2]):
+        op = Sigma(dense)
+        assert op.diag is None and op.matrix.shape == dense.shape
+
+
+def test_sigma_detects_a_diagonal_array_without_a_square_temporary(rng):
+    # The off-diagonal test counts nonzeros instead of subtracting the
+    # diagonal: 1000 x 1000 doubles are 8 MB, so one temporary would show.
+    diagonal = np.diag(np.linspace(3.0, 1.0, 1000))
+    noise = rng.normal(size=(1000, 1000))
+    symmetric = diagonal + 1e-3 * (noise + noise.T)
+    symmetric[np.diag_indices(1000)] = np.linspace(3.0, 1.0, 1000)
+    for a, is_diagonal in ((diagonal, True), (symmetric, False)):
+        tracemalloc.start()
+        try:
+            op = Sigma(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (op.diag is not None) == is_diagonal and peak < 1 << 20
 
 
 @pytest.mark.parametrize("values, rank, mu, s", [
@@ -177,7 +196,7 @@ def test_sigma_split_of_a_dense_operator(rng):
 @pytest.mark.parametrize("sandwich", [False, True], ids=["sym", "eig"])
 def test_floor_step_matches_the_dense_update(rng, monkeypatch, order, sandwich):
     # (I + eta Sigma) v - eta v G with G = gram, or G = v^T Sigma v for the
-    # eigenspace, whose multiplier is (eta mu) gram; with the map's head in
+    # eigenspace, whose map takes the gram itself; with the map's head in
     # one block, and with it built under a 1-byte BLOCK_BYTES, whose 8-row
     # blocks take a sloped diagonal head in several blocks (the last one
     # partial).
@@ -195,7 +214,7 @@ def test_floor_step_matches_the_dense_update(rng, monkeypatch, order, sandwich):
                 patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
                 op = Sigma(target)
                 step = op.step_map(eta, r)
-            m = (eta * op.split()[0] if sandwich else eta) * gram
+            m = gram.copy() if sandwich else eta * gram
             out = step(v, m, np.empty_like(v), sandwich=sandwich)
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
 
@@ -278,7 +297,7 @@ def test_pair_step_matches_the_dense_update(rng, monkeypatch, regularized):
                make_target(floor_target(d, False, r).eigenvalues, r, basis=random_orthogonal(rng, d)),
                rng.normal(size=(d, 7)), rng.normal(size=(7, d))]
     for source in sources:
-        op = Sigma(source, svd=True)
+        op = Sigma(source)
         sigma = source.matrix if hasattr(source, "matrix") else source
         d1, d2 = sigma.shape
         x, y = rng.normal(size=(d1, r)), rng.normal(size=(d2, r))
@@ -302,7 +321,7 @@ def test_flat_floor_pair_step_is_one_matmul(rng, monkeypatch):
     # and the r x r and 2r x 2r multipliers. The map's head scratch holds
     # the head's s = r rows of both factors.
     d, r = 5000, 4
-    op = Sigma(floor_target(d, True, r), svd=True)
+    op = Sigma(floor_target(d, True, r))
     x, y = rng.normal(size=(d, r)), rng.normal(size=(d, r))
     z, out = linalg.step_buffers(x, y)
     for regularized in (True, False):
@@ -330,7 +349,7 @@ def test_sloped_pair_step_forms_the_matmul_beside_each_head_block(rng, monkeypat
     for block_bytes, heights in ((1, [8, 8, 8, 8, 7]), (16 * r * 8, [16, 16, 7])):
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "BLOCK_BYTES", block_bytes)
-            step = Sigma(floor_target(d, False, r), svd=True).step_map(0.05, r, pair=True)
+            step = Sigma(floor_target(d, False, r)).step_map(0.05, r, pair=True)
         assert inspect.getclosurevars(step).nonlocals["scratch"].shape == (heights[0], 2 * r)
         with monkeypatch.context() as patch:
             calls = _count_rows(patch)

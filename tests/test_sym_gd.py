@@ -388,18 +388,34 @@ def test_rotated_target_records_match_diagonal(seed):
     assert warmup_budget(FactorState(small), diag_target, cfg.eta) == 861
 
 
-@pytest.mark.parametrize("diagnostic", [
+DIAGNOSTICS = [
     eigen_blocks, approximation_error, in_region_r, in_region_r2, noise_signal_ratio, signal_residual,
     lambda state, target: check_condition_1(state, target, 0.05),
     lambda state, target: warmup_budget(state, target, 0.05),
-], ids=["eigen_blocks", "approximation_error", "in_region_r", "in_region_r2", "noise_signal_ratio",
-        "signal_residual", "check_condition_1", "warmup_budget"])
+]
+DIAGNOSTIC_IDS = ["eigen_blocks", "approximation_error", "in_region_r", "in_region_r2", "noise_signal_ratio",
+                  "signal_residual", "check_condition_1", "warmup_budget"]
+
+
+@pytest.mark.parametrize("diagnostic", DIAGNOSTICS, ids=DIAGNOSTIC_IDS)
 def test_diagnostics_reject_a_state_of_the_wrong_dimension(diagnostic):
     # A 4-row iterate against a 5-dimensional diagonal target: the raw-row
     # blocks would exist, so only the shape check stops the evaluation.
     target = make_diagonal_target([3.0, 2.0, 1.0, 0.5, 0.2], 5, 2)
     with pytest.raises(ValueError, match="does not match"):
         diagnostic(FactorState(np.full((4, 2), 0.1)), target)
+
+
+@pytest.mark.parametrize("diagnostic", DIAGNOSTICS, ids=DIAGNOSTIC_IDS)
+def test_diagnostics_of_a_rotated_target_leave_its_matrix_unformed(rng, diagnostic):
+    # The dimension check compares two numbers: no diagnostic forms the
+    # dense d x d target, and a state of the wrong dimension still fails by
+    # name, before the eigenbasis product could fail without naming it.
+    target = make_target([3.0, 2.0, 1.0, 0.8, 0.5, 0.2], 2, basis=random_orthogonal(rng, 6))
+    diagnostic(FactorState(0.1 * rng.normal(size=(6, 2))), target)
+    with pytest.raises(ValueError, match="does not match"):
+        diagnostic(FactorState(np.full((5, 2), 0.1)), target)
+    assert target._matrix is None
 
 
 def test_run_rejects_indefinite_target():

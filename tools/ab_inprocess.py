@@ -41,6 +41,12 @@ Cases (default: all of them):
   the diagonal head longer than one row block, so it times the two-factor
   step's row blocks (about 270 iterations). A round's value is the loop
   time per iteration, in us.
+- ``asym-indefinite``: one regularized ``run_asym`` at d=1000, r=10 on the
+  ``experiment`` spectrum from 7 to 2 over a unit floor whose last entry
+  is -0.5, eta 0.05, epsilon 1e-4, first and last record only, from
+  ``gaussian_pair(1000, 1000, 10, 1)`` at alpha 0.5. The diagonal is not
+  its own SVD, so the error truncates by singular values (about 290
+  iterations). A round's value is the loop time per iteration, in us.
 
 For each case it prints the median and quartiles of each side's round
 values, the rounds in which this tree was faster, and both sides'
@@ -64,9 +70,9 @@ from golden_diff import ROOT, source_dir
 D, R, SEEDS = 500, 10, range(1, 9)
 DENSE_D, DENSE_CALLS = 5000, 20
 SYM_D, SYM_ALPHAS = 1000, (0.5, 5e-4, 5e-7)
-SLOPED_D = 20000
+SLOPED_D, INDEFINITE_D = 20000, 1000
 CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "eig-step-dense", "sym-records",
-         "asym-sloped")
+         "asym-sloped", "asym-indefinite")
 
 
 def load(src: Path, name: str):
@@ -114,12 +120,12 @@ def records_case(lg):
     return 1e6 * wall / sum(iters), tuple(iters)
 
 
-def sloped_case(lg):
-    """One regularized two-factor run on a sloped tail: (loop us per
-    iteration, iterations)."""
-    values = np.concatenate([np.linspace(7, 2, R), np.linspace(1, 0.5, SLOPED_D - R)])
+def asym_case(lg, values: np.ndarray, alpha: float):
+    """One regularized two-factor run on a diagonal target from ``alpha``
+    times the seed-1 pair: (loop us per iteration, iterations)."""
+    d = values.size
     cfg = lg.SolverConfig(eta=0.05, epsilon=1e-4, max_iters=10000, record_every=10000)
-    state = lg.AsymState(*lg.gaussian_pair(SLOPED_D, SLOPED_D, R, 1))
+    state = lg.AsymState(*(alpha * f for f in lg.gaussian_pair(d, d, R, 1)))
     trace = lg.run_asym(state, lg.make_target(values, R), cfg, regularized=True)
     return 1e6 * trace.wall_time / trace.iterations, (trace.iterations,)
 
@@ -138,7 +144,12 @@ def case_runner(case: str):
     if case == "sym-records":
         return records_case, "us/iter"
     if case == "asym-sloped":
-        return sloped_case, "us/iter"
+        values = np.concatenate([np.linspace(7, 2, R), np.linspace(1, 0.5, SLOPED_D - R)])
+        return (lambda lg: asym_case(lg, values, 1.0)), "us/iter"
+    if case == "asym-indefinite":
+        values = np.concatenate([np.linspace(7, 2, R), np.ones(INDEFINITE_D - R)])
+        values[-1] = -0.5
+        return (lambda lg: asym_case(lg, values, 0.5)), "us/iter"
     if case == "eig-step-dense":
         rng = np.random.default_rng(0)
         sigma = rng.normal(size=(DENSE_D, DENSE_D))
