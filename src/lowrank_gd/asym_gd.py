@@ -10,8 +10,9 @@ Sigma (a Target or an array) is applied through ``spectrum.Sigma``. The
 two factors step side by side in one buffer [X | Y], so each step is one
 matmul of that buffer plus Sigma's head (``Sigma.step_map`` with
 ``pair``). The step's multiplier, where the regularizer lives, is built
-here (``_multiplier``), and ``run_asym`` is a thin caller of the shared
-``engine.iterate``.
+here (``_multiplier``) from Grams that the error reads off the eigenbasis
+split where it applies (``_error_fn``); ``run_asym`` is a thin caller of
+the shared ``engine.iterate``.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .engine import Trace, iterate
-from .spectrum import Sigma
+from .spectrum import Sigma, Target, eigen_split
 
 
 @dataclass
@@ -77,7 +78,9 @@ def asym_step(state: AsymState, sigma, eta: float, regularized: bool = True) -> 
     op.check_shape(d1, d2)
     step = op.step_map(eta, r, pair=True)
     z, out = linalg.step_buffers(state.x, state.y)
-    step(z, _multiplier(eta, regularized, *_grams(op, r, z[:d1, :r], z[:d2, r:])), out)
+    split = _split_fn(sigma, op, r)[0]
+    grams = [v.T @ v if split is None else np.add(*split(v)[1:]) for v in (z[:d1, :r], z[:d2, r:])]
+    step(z, _multiplier(eta, regularized, *grams), out)
     return AsymState(out[:d1, :r], out[:d2, r:])
 
 
@@ -125,54 +128,44 @@ def balance_gap(state: AsymState) -> float:
     return float(np.linalg.norm(state.x.T @ state.x - state.y.T @ state.y, "fro"))
 
 
-def _block_grams(v: np.ndarray, r: int):
-    """U^T U and J^T J of the top r rows U of ``v`` and the rest J."""
-    u, j = v[:r], v[r:]
-    return u.T @ u, j.T @ j
+def _split_fn(sigma, op: Sigma, r: int):
+    """``(split, Lambda_r)``, with ``split`` the factors' ``eigen_split``,
+    when Sigma's rank-r SVD truncation is its eigen truncation: lambda_r >=
+    -lambda_min. Else ``(None, None)``, as for a dense array."""
+    rotated = isinstance(sigma, Target) and sigma.basis is not None
+    values = sigma.eigenvalues if rotated else op.diag
+    if values is None or values[r - 1] < -values[-1]:
+        return None, None
+    top = np.asfortranarray(sigma.basis[:, :r]) if rotated else None
+    return (lambda v: eigen_split(v, r, top)), np.diag(values[:r])
 
 
-def _grams(op: Sigma, r: int, x: np.ndarray, y: np.ndarray):
-    """(X^T X, Y^T Y) as the error closure returns them: summed from the
-    row blocks for a diagonal Sigma, whose block identity reads those
-    blocks, and formed directly for a dense one."""
-    if op.diag is None:
-        return x.T @ x, y.T @ y
-    (gux, gjx), (guy, gjy) = _block_grams(x, r), _block_grams(y, r)
-    return gux + gjx, guy + gjy
-
-
-def _balanced(gram_x: np.ndarray, gram_y: np.ndarray):
-    """The Grams and the balance gap ||X^T X - Y^T Y||_F they give."""
-    gap = gram_x - gram_y
-    return gram_x, gram_y, math.sqrt(np.vdot(gap, gap))
-
-
-def _error_fn(op: Sigma, r: int):
-    """Closure for ||Sigma_r - X Y^T||_F with Sigma_r the rank-r SVD
-    truncation, called on the two factors (the halves of a run's joint
-    iterate). It returns the error and ``(X^T X, Y^T Y, balance gap)`` for
-    the step, the guard and the record. A diagonal operator that is its own
-    SVD (last entry >= 0) uses a block identity that avoids forming d1 x d2
-    matrices per call: four r x r inner products, with the Grams summed from
-    the blocks (see ``_grams``); any other takes the SVD of its matrix."""
+def _error_fn(sigma, op: Sigma, r: int):
+    """Closure for ||Sigma_r - X Y^T||_F, Sigma_r the rank-r SVD truncation
+    (Eckart-Young) of ``sigma`` (applied as ``op``), and ``(X^T X, Y^T Y,
+    balance gap)``. With ``_split_fn``'s split, a block identity over each
+    factor's U and rest J forms no d1 x d2 matrix; otherwise each call forms
+    the residual to Sigma_r: a diagonal's r largest magnitudes, or an SVD's."""
     if r < 1 or r > min(op.shape):
         raise ValueError(f"rank {r} out of range for sigma of shape {op.shape}")
-    if op.diag is not None and op.diag[-1] >= 0:
-        s_r = np.diag(op.diag[:r])
-
-        def err(x: np.ndarray, y: np.ndarray):
-            (gux, gjx), (guy, gjy) = _block_grams(x, r), _block_grams(y, r)
-            top = s_r - x[:r] @ y[:r].T
-            sq = float(np.vdot(top, top) + np.vdot(gux, gjy) + np.vdot(gjx, guy) + np.vdot(gjx, gjy))
-            return math.sqrt(max(sq, 0.0)), _balanced(gux + gjx, guy + gjy)
-
-        return err
-
-    left, svals, right = linalg.svd(op.matrix if op.diag is None else np.diag(op.diag))
-    sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
+    split, s_r = _split_fn(sigma, op, r)
+    if split is None and op.diag is None:
+        left, svals, right = linalg.svd(op.matrix)
+        sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
+    elif split is None:
+        kept = np.isin(np.arange(op.shape[0]), np.argsort(-np.abs(op.diag), kind="stable")[:r])
+        sigma_r = np.diag(np.where(kept, op.diag, 0.0))
 
     def err(x: np.ndarray, y: np.ndarray):
-        return float(np.linalg.norm(sigma_r - x @ y.T, "fro")), _balanced(*_grams(op, r, x, y))
+        if split is None:
+            error, gram_x, gram_y = float(np.linalg.norm(sigma_r - x @ y.T, "fro")), x.T @ x, y.T @ y
+        else:
+            (ux, gux, gjx), (uy, guy, gjy) = split(x), split(y)
+            top = s_r - ux @ uy.T
+            sq = float(np.vdot(top, top) + np.vdot(gux, gjy) + np.vdot(gjx, guy) + np.vdot(gjx, gjy))
+            error, gram_x, gram_y = math.sqrt(max(sq, 0.0)), gux + gjx, guy + gjy
+        gap = gram_x - gram_y
+        return error, (gram_x, gram_y, math.sqrt(np.vdot(gap, gap)))
 
     return err
 
@@ -181,7 +174,7 @@ def asym_error(state: AsymState, sigma, r: int) -> float:
     """Frobenius error of X Y^T against the rank-r truncation of sigma."""
     op = Sigma(sigma)
     op.check_shape(state.x.shape[0], state.y.shape[0])
-    return _error_fn(op, r)(state.x, state.y)[0]
+    return _error_fn(sigma, op, r)(state.x, state.y)[0]
 
 
 def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trace:
@@ -202,7 +195,7 @@ def run_asym(state0: AsymState, sigma, config, regularized: bool = True) -> Trac
     op = Sigma(sigma)
     d1, d2, r = state0.x.shape[0], state0.y.shape[0], state0.rank
     op.check_shape(d1, d2)
-    err_fn = _error_fn(op, r)
+    err_fn = _error_fn(sigma, op, r)
     epsilon = config.epsilon
     step = op.step_map(config.eta, r, pair=True)
     z0, spare = linalg.step_buffers(state0.x, state0.y)

@@ -8,8 +8,9 @@ wall-clock benchmark compares against. Scaling a frame by the matrix
 square root of the target maps one retraction-free step onto one step of
 the symmetric factored iteration, which is used as a per-step oracle.
 
-Both methods apply the target through ``spectrum.Sigma`` and keep their
-frames in the column-major buffers of ``linalg.step_buffers``, and
+Both methods apply the target through ``spectrum.Sigma``, read the error
+and the step's Gram from its eigenbasis split (``Target.split``) and keep
+their frames in the column-major buffers of ``linalg.step_buffers``;
 ``run_eig`` is a thin caller of the shared ``engine.iterate``.
 """
 
@@ -57,14 +58,15 @@ class EigRecord:
 
 def rf_step(state: EigState, sigma, eta: float) -> EigState:
     """One retraction-free step L + eta (I - L L^T) Sigma L. ``sigma`` is a
-    Target or a symmetric array. The step runs in ``linalg.step_buffers``,
-    as ``run_eig`` does, so a run equals repeated steps bit for bit: the
-    sandwiched ``Sigma.step_map`` given the Gram L^T L, formed as the error
-    closure of ``run_eig`` forms it."""
+    Target or a symmetric array. As in ``run_eig``, the step runs in
+    ``linalg.step_buffers``, and the sandwiched ``Sigma.step_map`` is given
+    the Gram L^T L, for a Target summed from its split as the error sums
+    it, so a run equals repeated steps bit for bit."""
     op = Sigma(sigma)
     op.check_shape(state.dim)
     l, out = linalg.step_buffers(state.l)
-    return EigState(op.step_map(eta, state.rank)(l, l.T @ l, out, sandwich=True))
+    gram = np.add(*sigma.split(l)[1:]) if isinstance(sigma, Target) else l.T @ l
+    return EigState(op.step_map(eta, state.rank)(l, gram, out, sandwich=True))
 
 
 def retract(l_tilde) -> np.ndarray:
@@ -115,18 +117,18 @@ def lift_to_sym(state: EigState, target: Target) -> FactorState:
 
 
 def _proj_error_fn(target: Target):
-    """Closure for ||Pi_r - L L^T||_F via the Gram identity
-    r - 2 ||B_r^T L||_F^2 + ||L^T L||_F^2, avoiding d x d products. It
-    returns the error and the Gram L^T L, whose trace the divergence guard
-    reads."""
-    r = target.rank
-    to_eigen = target.to_eigen
+    """Closure for ||Pi_r - L L^T||_F of an r-column frame from
+    ``Target.split`` (U, rest J): with G = U^T U + J^T J, its square is
+    ||I_r - G||^2 + 2 tr(J^T J) (the trace as <2 I, J^T J>, one BLAS call),
+    terms that do not cancel. It returns G too, for the step and guard."""
+    eye = np.eye(target.rank)
+    two, split = 2.0 * eye, target.split
 
     def err(l: np.ndarray):
-        top = to_eigen(l)[:r]
-        gram = l.T @ l
-        sq = r - 2.0 * float(np.vdot(top, top)) + float(np.vdot(gram, gram))
-        return math.sqrt(max(sq, 0.0)), gram
+        _, gram_u, gram_j = split(l)
+        gram = gram_u + gram_j
+        dev = eye - gram
+        return math.sqrt(np.vdot(dev, dev) + np.vdot(two, gram_j)), gram
 
     return err
 
@@ -154,7 +156,7 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         ``wall_time`` measures the iteration loop only (the retraction
         included), so benchmark comparisons exclude setup. Frames live in
         ``linalg.step_buffers``, and each step is the sandwiched
-        ``Sigma.step_map`` given the error closure's Gram L^T L.
+        ``Sigma.step_map`` given the error closure's Gram G = L^T L.
 
     Raises
     ------
@@ -168,6 +170,8 @@ def run_eig(state0: EigState, target: Target, config, method: str = "retraction_
         raise ValueError("eigenspace computation needs a PSD target")
     op = Sigma(target)
     op.check_shape(state0.dim)
+    if state0.rank != target.rank:
+        raise ValueError(f"frame of {state0.rank} columns does not match target rank {target.rank}")
     err_fn = _proj_error_fn(target)
     retracted = method == "rgd"
     eta, epsilon = config.eta, config.epsilon

@@ -1,5 +1,5 @@
-"""Target matrices, their spectral metadata, the Sigma operator the
-solvers apply, and rank-r ground-truth oracles."""
+"""Target matrices, their spectral metadata and the eigenbasis split every
+error reads, the Sigma operator the solvers apply, and rank-r oracles."""
 
 from dataclasses import dataclass, field
 
@@ -25,6 +25,16 @@ def _blocks(head, v, s, scratch):
     for start in range(0, s, max(1, len(scratch))):
         stop = min(start + len(scratch), s)
         yield start, stop, head(v, start, stop, scratch[:stop - start])
+
+
+def eigen_split(x: np.ndarray, r: int, top: np.ndarray | None):
+    """``(U, U^T U, J^T J)`` of a tall iterate x, the one split every error
+    reads: U = B_r^T x on the top r eigenvectors B_r (``top``) and J = x -
+    B_r U, in O(d r^2); with ``top`` None (the identity), the views x[:r]
+    and x[r:]."""
+    u = x[:r] if top is None else top.T @ x
+    j = x[r:] if top is None else x - top @ u
+    return u, u.T @ u, j.T @ j
 
 
 @dataclass
@@ -64,6 +74,8 @@ class Target:
             if linalg.frobenius_norm(b.T @ b - np.eye(self.dim)) > BASIS_TOL * self.dim:
                 raise ValueError("basis columns are not orthonormal")
             self.basis = b
+        # B_r, all that ``split`` reads of the basis, column-major like the iterates.
+        self._top = None if self.basis is None else np.asfortranarray(self.basis[:, : self.rank])
 
     @property
     def gap(self) -> float:
@@ -91,10 +103,9 @@ class Target:
     def is_psd(self) -> bool:
         return bool(self.eigenvalues[-1] >= -linalg.SYMMETRY_TOL)
 
-    def to_eigen(self, x: np.ndarray) -> np.ndarray:
-        """x in eigenbasis coordinates: basis^T @ x, or x itself when the
-        eigenbasis is the identity (``basis`` is None)."""
-        return x if self.basis is None else self.basis.T @ x
+    def split(self, x: np.ndarray):
+        """``eigen_split`` of x over the target's top ``rank`` eigenvectors."""
+        return eigen_split(x, self.rank, self._top)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -134,8 +145,10 @@ class Sigma:
         a = np.asarray(source, dtype=np.float64)
         self.shape = a.shape
         if a.ndim == 2 and a.shape[0] == a.shape[1]:
-            d = np.diag(a)
-            if not np.any(np.diff(d) > 0) and np.count_nonzero(a) == np.count_nonzero(d):
+            d, n = np.diag(a), linalg.block_rows(*a.shape)
+            # Counted by row blocks, a dense array stops at its first off-diagonal nonzero.
+            if not np.any(np.diff(d) > 0) and all(np.count_nonzero(a[i:i + n]) == np.count_nonzero(d[i:i + n])
+                                                  for i in range(0, d.size, n)):
                 self.diag = d.copy()
         if self.diag is None:
             self.matrix = a

@@ -5,10 +5,10 @@ with the block-level diagnostics used to machine-check its convergence
 behaviour: membership in the absorbing regions, the noise-to-signal
 ratio, the signal residual, and closed-form iteration budgets.
 
-The target is applied through ``spectrum.Sigma``; the diagnostics are
-taken in its eigenbasis coordinates, so a rotated target reports the
-same values as its diagonal copy. ``run`` is a thin caller of the shared
-``engine.iterate``.
+The target is applied through ``spectrum.Sigma``; the error and the
+diagnostics read its eigenbasis split (``Target.split``), so a rotated
+target reports the same values as its diagonal copy. ``run`` is a thin
+caller of the shared ``engine.iterate``.
 """
 
 import math
@@ -67,16 +67,10 @@ def gd_step(state: FactorState, target, eta: float) -> FactorState:
     the step's multiplier is eta X^T X."""
     op = Sigma(target)
     op.check_shape(state.dim)
-    # Buffers and, for a Target, the Gram from the error's blocks as in
-    # ``run``, so a run equals repeated steps; an array has no eigenbasis.
+    # For a Target, the Gram of its split as in ``run``: a run equals repeated steps.
     x, out = linalg.step_buffers(state.x)
-    gram = _gram(_error_fn(target)(x)[1]) if isinstance(target, Target) else x.T @ x
+    gram = np.add(*target.split(x)[1:]) if isinstance(target, Target) else x.T @ x
     return FactorState(op.step_map(eta, state.rank)(x, eta * gram, out))
-
-
-def _gram(blocks) -> np.ndarray:
-    """X^T X = U^T U + J^T J from ``eigen_blocks``."""
-    return blocks[2] + blocks[3]
 
 
 def block_values(blocks):
@@ -176,8 +170,8 @@ def approximation_error(state: FactorState, target: Target) -> float:
 
 
 def eigen_blocks(state: FactorState, target: Target):
-    """The blocks ``(U, Lambda_r - U U^T, U^T U, J^T J)`` of the iterate in
-    the target's eigenbasis coordinates, as the error forms them; every
+    """The blocks ``(U, Lambda_r - U U^T, U^T U, J^T J)`` of the iterate
+    over the target's eigenbasis split, as the error forms them; every
     block diagnostic reads these, so a rotated target reports the same
     values as its diagonal copy."""
     return _evaluate(state, target)[1]
@@ -192,20 +186,16 @@ def _evaluate(state: FactorState, target: Target):
 
 
 def _error_fn(target: Target):
-    """Closure evaluating ||Sigma_r - X X^T||_F without forming d x d
-    matrices: in eigenbasis coordinates the difference is block-structured
-    and each block has a small Gram representation. It returns the error
-    and the blocks ``(U, Lambda_r - U U^T, U^T U, J^T J)`` for the record."""
-    r = target.rank
+    """Closure evaluating ||Sigma_r - X X^T||_F from ``Target.split`` (U and
+    the rest J) as ||Lambda_r - U U^T||^2 + 2 <U^T U, J^T J> + ||J^T J||^2,
+    with no d x d matrix. It returns the error and the blocks
+    ``(U, Lambda_r - U U^T, U^T U, J^T J)`` for the record."""
     lam_r = np.diag(target.leading)
-    to_eigen = target.to_eigen
+    split = target.split
 
     def err(x: np.ndarray) -> float:
-        z = to_eigen(x)
-        u, j = z[:r], z[r:]
+        u, gram_u, gram_j = split(x)
         top = lam_r - u @ u.T
-        gram_u = u.T @ u
-        gram_j = j.T @ j
         sq = float(np.sum(top * top) + 2.0 * np.sum(gram_u * gram_j) + np.sum(gram_j * gram_j))
         return math.sqrt(max(sq, 0.0)), (u, top, gram_u, gram_j)
 
@@ -262,5 +252,5 @@ def run(state0: FactorState, target: Target, config: SolverConfig) -> Trace:
             values = (math.nan,) * 5 + (False, False)
         return TraceRecord(t, err, *values)
 
-    return iterate(x0, spare, lambda x, blocks, out: step(x, eta * _gram(blocks), out),
+    return iterate(x0, spare, lambda x, blocks, out: step(x, eta * np.add(*blocks[2:]), out),
                    measure, record, config, FactorState)

@@ -19,12 +19,14 @@ def _ab(parent: Path, case: str = "rf-diagonal"):
 
 
 def test_ab_inprocess_times_this_tree_against_itself():
-    # One round of the smallest case, of the recorded symmetric runs and of
-    # the sloped and the indefinite two-factor runs, this tree on both
-    # sides: a row per case with equal iteration counts, and exit 0.
-    done = _ab(ROOT, "rf-diagonal,sym-records,asym-sloped,asym-indefinite")
+    # One round of the smallest case, of the recorded symmetric runs, of
+    # the sloped and the indefinite two-factor runs and of the symmetric and
+    # two-factor runs on a rotated target, this tree on both sides: a row
+    # per case with equal iteration counts, and exit 0.
+    cases = ("rf-diagonal", "sym-records", "asym-sloped", "asym-indefinite", "sym-rotated", "asym-rotated")
+    done = _ab(ROOT, ",".join(cases))
     assert done.returncode == 0, done.stderr
-    for case in ("rf-diagonal", "sym-records", "asym-sloped", "asym-indefinite"):
+    for case in cases:
         row = next(line for line in done.stdout.splitlines() if line.startswith(case))
         assert "us/iter" in row
         this, parent = row.rsplit("  ", 1)[1].split(" / ")

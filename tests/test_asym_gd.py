@@ -199,9 +199,9 @@ def _run_and_step(state, sigma, regularized, iters, eta=0.05):
 @pytest.mark.parametrize("regularized", [True, False])
 def test_indefinite_diagonal_target_is_truncated_by_singular_values_without_its_matrix(rng, regularized):
     # At r = 2 the SVD truncation of diag(3, 2, 1, -5) keeps -5 and 3, not
-    # the two leading eigenvalues. The step applies the diagonal
-    # elementwise and only the error takes an SVD, of the diagonal itself,
-    # so the Target never forms its dense matrix.
+    # the two leading eigenvalues (lambda_r < -lambda_min). The step applies
+    # the diagonal elementwise and the error keeps its two entries of
+    # largest magnitude, so the Target never forms its dense matrix.
     target = make_diagonal_target([3.0, 2.0, 1.0, -5.0], 4, 2)
     state = AsymState(0.1 * rng.normal(size=(4, 2)), 0.1 * rng.normal(size=(4, 2)))
     u, s, vt = np.linalg.svd(np.diag(target.eigenvalues))

@@ -324,13 +324,11 @@ def test_run_eig_rgd_overflow_raises_divergence_with_trace():
     assert math.isfinite(trace.records[0].proj_error)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the Gram identity r - 2||B_r^T L||^2 + ||L^T L||^2 "
-    "cancels to 0 near convergence, below the dense error"))
 def test_rf_error_resolves_below_the_gram_identity_floor():
-    # With epsilon under the identity's floor the run stops at iteration
-    # 407 as converged with an error of exactly 0, while the dense error is
-    # 2.9e-8.
+    # The former Gram identity r - 2||B_r^T L||^2 + ||L^T L||^2 cancelled
+    # to 0 near convergence: with epsilon under its floor the run stopped at
+    # iteration 407 as converged with an error of exactly 0, while the dense
+    # error was 2.9e-8. The split's non-negative terms resolve it.
     d, r = 500, 10
     target = make_diagonal_target(experiment_spectrum(7, 2, r, d), d, r)
     cfg = SolverConfig(0.05, 1e-300, 2000, 2000)
@@ -338,6 +336,14 @@ def test_rf_error_resolves_below_the_gram_identity_floor():
     dense = proj_error(trace.final_state, best_rank_r(target))
     assert trace.final_error > 0.0
     assert trace.final_error == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_run_eig_rejects_a_frame_without_the_target_rank(cols):
+    # The error's identity is that of an r-column frame, r the target's rank.
+    target = make_diagonal_target([3.0, 2.0, 1.0, 0.5], 4, 2)
+    with pytest.raises(ValueError, match="does not match target rank 2"):
+        run_eig(EigState(np.ones((4, cols))), target, SolverConfig(eta=0.05, epsilon=1e-4, max_iters=5))
 
 
 def test_run_eig_reports_wall_time():

@@ -46,13 +46,12 @@ def test_shipped_config_csvs_match_golden(stem, tmp_path):
     assert got == expected
 
 
-# Relative tolerance of the error and singular-value columns, and the
-# absolute ones (in units of lambda_1 for sigma1_p and balance, which are
-# differences of O(lambda_1) terms; plain for proj_error, whose Gram
-# identity cancels down to about 1e-10).
+# Relative tolerance of the error, singular-value and proj_error columns
+# (the projection error's split identity has no cancelling terms), and the
+# absolute one, in units of lambda_1, for sigma1_p and balance, which are
+# differences of O(lambda_1) terms.
 ORACLE_RTOL = 1e-10
 ORACLE_LAMBDA1_ATOL = 1e-12
-ORACLE_PROJ_ATOL = 1e-9
 EXACT_COLUMNS = ("iter", "in_r", "in_r2")
 
 
@@ -89,8 +88,6 @@ def test_shipped_trajectories_match_textbook_oracle(stem, tmp_path):
                     continue
                 if col in ("sigma1_p", "balance"):
                     tol = ORACLE_LAMBDA1_ATOL * target.lambda_top
-                elif col == "proj_error":
-                    tol = ORACLE_PROJ_ATOL
                 else:
                     tol = ORACLE_RTOL * abs(value)
                 assert abs(float(g[col]) - value) <= tol, (name, col, w["iter"])

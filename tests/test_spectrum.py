@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import floor_target, random_orthogonal
 from lowrank_gd import (
@@ -11,6 +13,8 @@ from lowrank_gd import (
     EigState,
     FactorState,
     Sigma,
+    approximation_error,
+    asym_error,
     asym_step,
     best_rank_r,
     experiment_spectrum,
@@ -18,11 +22,13 @@ from lowrank_gd import (
     kappa,
     make_diagonal_target,
     make_target,
+    proj_error,
     rf_step,
     rgd_step,
 )
 from lowrank_gd import linalg
 from lowrank_gd.asym_gd import _multiplier
+from lowrank_gd.eigenspace import _proj_error_fn
 
 
 def givens(theta):
@@ -168,6 +174,27 @@ def test_sigma_detects_a_diagonal_array_without_a_square_temporary(rng):
         finally:
             tracemalloc.stop()
         assert (op.diag is not None) == is_diagonal and peak < 1 << 20
+
+
+def test_sigma_stops_counting_a_dense_array_at_its_first_off_diagonal_block(monkeypatch):
+    # Nonzeros are counted one row block at a time: a dense array with a
+    # sorted diagonal is called dense after its first block, while a
+    # diagonal array is counted in full, and a lone off-diagonal entry in
+    # the last, partial block still makes an array dense.
+    d = 1001
+    rows, values = linalg.block_rows(d, d), np.linspace(3.0, 1.0, d)
+    assert d % rows
+    counted, count_nonzero = [], np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: counted.append(np.size(a)) or count_nonzero(a))
+    dense = np.ones((d, d))
+    dense[np.diag_indices(d)] = values
+    assert Sigma(dense).diag is None and sum(counted) == rows * d + rows
+    counted.clear()
+    np.testing.assert_array_equal(Sigma(np.diag(values)).diag, values)
+    assert sum(counted) == d * d + d
+    late = np.diag(values)
+    late[d - 1, 0] = 1e-300
+    assert Sigma(late).diag is None
 
 
 @pytest.mark.parametrize("values, rank, mu, s", [
@@ -377,8 +404,73 @@ def test_steps_and_kappa_reject_a_nonpositive_eta_by_name(name, eta):
         ETA_USERS[name](eta)
 
 
-def test_target_to_eigen(rng):
-    basis = random_orthogonal(rng, 4)
-    x = rng.normal(size=(4, 2))
-    np.testing.assert_allclose(make_target([3.0, 2.0, 1.0, 0.5], 2, basis=basis).to_eigen(x), basis.T @ x)
-    assert make_diagonal_target([3.0, 2.0, 1.0, 0.5], 4, 2).to_eigen(x) is x
+def test_target_split(rng):
+    # A diagonal split is the views x[:r] and x[r:]; a rotated one matches
+    # the blocks of basis^T x, though it reads only the top r columns.
+    values, r = [3.0, 2.0, 1.0, 0.5, 0.2], 2
+    x = rng.normal(size=(5, 3))
+    u, gram_u, gram_j = make_diagonal_target(values, 5, r).split(x)
+    assert u.base is x
+    np.testing.assert_array_equal(u, x[:r])
+    np.testing.assert_array_equal(gram_u, x[:r].T @ x[:r])
+    np.testing.assert_array_equal(gram_j, x[r:].T @ x[r:])
+    basis = random_orthogonal(rng, 5)
+    z = basis.T @ x
+    u, gram_u, gram_j = make_target(values, r, basis=basis).split(x)
+    np.testing.assert_allclose(u, z[:r], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(gram_u, z[:r].T @ z[:r], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(gram_j, z[r:].T @ z[r:], rtol=0, atol=1e-13)
+
+
+def haar(rng, n):
+    """A Haar-random orthogonal matrix: Q of a Gaussian's QR, with the signs
+    of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def split_target(kind, d, r, rng):
+    """r values in [2, 5] over a floor from 1 to 0.5: diagonal, Haar-rotated,
+    or diagonal with a negative last entry that the rank-r SVD truncation
+    drops (``indefinite``, lambda_r >= -lambda_min) or keeps (``svd``)."""
+    values = np.concatenate([np.sort(rng.uniform(2.0, 5.0, r))[::-1], np.linspace(1.0, 0.5, d - r)])
+    if kind == "indefinite":
+        values[-1] = -rng.uniform(0.0, values[r - 1])
+    elif kind == "svd":
+        values[-1] = -values[r - 1] - rng.uniform(0.5, 3.0)
+    return make_target(values, r, basis=haar(rng, d) if kind == "rotated" else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 30), r=st.integers(1, 3),
+       kind=st.sampled_from(["diagonal", "rotated", "indefinite", "svd"]), near=st.booleans())
+def test_every_error_matches_its_dense_oracle(seed, d, r, kind, near):
+    # Each solver's error against its dense textbook form: the symmetric one
+    # against the eigen truncation, the eigenspace one against the rank-r
+    # projector, the two-factor one against the SVD truncation. Iterates are
+    # random, or within 1e-8 of a solution, where the eigenspace identity
+    # r - 2||B_r^T L||^2 + ||L^T L||^2 cancelled to noise.
+    rng = np.random.default_rng(seed)
+    target = split_target(kind, d, r, rng)
+    oracle = best_rank_r(target)
+    left, svals, right_t = np.linalg.svd(target.matrix)
+    svd_r = (left[:, :r] * svals[:r]) @ right_t[:r]
+    if near:
+        top = np.eye(d)[:, :r] if target.basis is None else target.basis[:, :r]
+        q = haar(rng, r)
+        x, l = (top * np.sqrt(target.leading)) @ q, top @ q
+        xa, ya = (left[:, :r] * np.sqrt(svals[:r])) @ q, (right_t[:r].T * np.sqrt(svals[:r])) @ q
+        x, l, xa, ya = (v + 1e-8 * rng.normal(size=v.shape) / math.sqrt(v.size) for v in (x, l, xa, ya))
+    else:
+        x, l, xa, ya = (rng.normal(size=(d, r)) for _ in range(4))
+    errors = {
+        "sym": (approximation_error(FactorState(x), target), np.linalg.norm(oracle.sigma_r_matrix - x @ x.T)),
+        "eig": (_proj_error_fn(target)(l)[0], proj_error(EigState(l), oracle)),
+        "asym": (asym_error(AsymState(xa, ya), target, r), np.linalg.norm(svd_r - xa @ ya.T)),
+    }
+    for name, (got, want) in errors.items():
+        assert got == pytest.approx(want, rel=1e-5 if near else 1e-10), name
+    if kind == "svd":
+        # The SVD truncation keeps the negative entry, so a block identity
+        # over the top r eigenvectors would miss the two-factor oracle.
+        assert np.linalg.norm(svd_r - oracle.sigma_r_matrix) > 1.0

@@ -22,6 +22,11 @@ Cases (default: all of them):
 - ``rf-rotated``, ``rgd-rotated``: the same on that spectrum rotated by a
   Haar-random orthogonal basis (the QR of a seeded Gaussian with the signs
   of R's diagonal moved into Q), so Sigma is a dense 500 x 500 matrix.
+- ``sym-rotated``, ``asym-rotated``: the symmetric ``run`` from
+  ``gaussian_factor(500, 10, seed)`` and the regularized ``run_asym`` from
+  ``gaussian_pair(500, 500, 10, seed)``, for each seed 1-8, on that rotated
+  spectrum with the same eta, epsilon and first and last record only, so
+  every solver's error on a rotated target is timed.
 - ``eig-step-dense``: 20 calls of the public ``rf_step`` on a dense
   symmetric 5000 x 5000 array and a 5000 x 10 frame; a round's value is ms
   per call. Every tree has ``rf_step``, whatever its step map is called;
@@ -44,9 +49,10 @@ Cases (default: all of them):
 - ``asym-indefinite``: one regularized ``run_asym`` at d=1000, r=10 on the
   ``experiment`` spectrum from 7 to 2 over a unit floor whose last entry
   is -0.5, eta 0.05, epsilon 1e-4, first and last record only, from
-  ``gaussian_pair(1000, 1000, 10, 1)`` at alpha 0.5. The diagonal is not
-  its own SVD, so the error truncates by singular values (about 290
-  iterations). A round's value is the loop time per iteration, in us.
+  ``gaussian_pair(1000, 1000, 10, 1)`` at alpha 0.5. Its rank-r SVD
+  truncation is still its eigen truncation (lambda_r >= -lambda_min), so
+  the error reads the eigenbasis split (about 290 iterations). A round's
+  value is the loop time per iteration, in us.
 
 For each case it prints the median and quartiles of each side's round
 values, the rounds in which this tree was faster, and both sides'
@@ -71,8 +77,15 @@ D, R, SEEDS = 500, 10, range(1, 9)
 DENSE_D, DENSE_CALLS = 5000, 20
 SYM_D, SYM_ALPHAS = 1000, (0.5, 5e-4, 5e-7)
 SLOPED_D, INDEFINITE_D = 20000, 1000
-CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "eig-step-dense", "sym-records",
-         "asym-sloped", "asym-indefinite")
+CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "sym-rotated", "asym-rotated",
+         "eig-step-dense", "sym-records", "asym-sloped", "asym-indefinite")
+# Case prefix -> one run of its solver from a seed's draw: (lg, target, cfg, seed) -> Trace.
+SOLVES = {
+    "rf": lambda lg, t, cfg, seed: lg.run_eig(lg.EigState(lg.gaussian_factor(D, R, seed)), t, cfg),
+    "rgd": lambda lg, t, cfg, seed: lg.run_eig(lg.EigState(lg.gaussian_factor(D, R, seed)), t, cfg, method="rgd"),
+    "sym": lambda lg, t, cfg, seed: lg.run(lg.FactorState(lg.gaussian_factor(D, R, seed)), t, cfg),
+    "asym": lambda lg, t, cfg, seed: lg.run_asym(lg.AsymState(*lg.gaussian_pair(D, D, R, seed)), t, cfg),
+}
 
 
 def load(src: Path, name: str):
@@ -94,13 +107,14 @@ def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def run_case(lg, method: str, basis):
-    """A case of eight runs: (loop us per iteration, per-seed iterations)."""
+def run_case(lg, solve, basis):
+    """A case of eight runs of ``solve`` (a ``SOLVES`` entry): (loop us per
+    iteration, per-seed iterations)."""
     target = lg.make_target(lg.experiment_spectrum(7, 2, R, D), R, basis=basis)
     cfg = lg.SolverConfig(eta=0.05, epsilon=1e-4, max_iters=10000, record_every=10000)
     wall, iters = 0.0, []
     for seed in SEEDS:
-        trace = lg.run_eig(lg.EigState(lg.gaussian_factor(D, R, seed)), target, cfg, method=method)
+        trace = solve(lg, target, cfg, seed)
         wall += trace.wall_time
         iters.append(trace.iterations)
     return 1e6 * wall / sum(iters), tuple(iters)
@@ -156,9 +170,9 @@ def case_runner(case: str):
         sigma += sigma.T
         frame = rng.normal(size=(DENSE_D, R)) / np.sqrt(DENSE_D)
         return (lambda lg: step_case(lg, sigma, frame)), "ms/call"
-    method = {"rf": "retraction_free", "rgd": "rgd"}[case.split("-")[0]]
+    solve = SOLVES[case.split("-")[0]]
     basis = haar_orthogonal(D, 0) if case.endswith("rotated") else None
-    return (lambda lg: run_case(lg, method, basis)), "us/iter"
+    return (lambda lg: run_case(lg, solve, basis)), "us/iter"
 
 
 def main(argv=None) -> int:
