@@ -129,32 +129,37 @@ def balance_gap(state: AsymState) -> float:
 
 
 def _split_fn(sigma, op: Sigma, r: int):
-    """``(split, Lambda_r)``, with ``split`` the factors' ``eigen_split``,
-    when Sigma's rank-r SVD truncation is its eigen truncation: lambda_r >=
-    -lambda_min. Else ``(None, None)``, as for a dense array."""
+    """``(split, Lambda_r)`` for Sigma's rank-r SVD truncation, or ``(None,
+    None)`` for a dense array. The truncation of a symmetric Sigma keeps
+    its r eigenvalues of largest magnitude, with their signs: on a
+    non-increasing spectrum, the first r - m and the last m, a first one
+    winning a tie. ``split`` is the factors' ``eigen_split`` over those
+    eigenvectors, the rows of a diagonal or the basis columns of a rotated
+    Target, and Lambda_r holds their values."""
     rotated = isinstance(sigma, Target) and sigma.basis is not None
     values = sigma.eigenvalues if rotated else op.diag
-    if values is None or values[r - 1] < -values[-1]:
+    if values is None:
         return None, None
-    top = np.asfortranarray(sigma.basis[:, :r]) if rotated else None
-    return (lambda v: eigen_split(v, r, top)), np.diag(values[:r])
+    m = 0
+    for k in range(r):
+        m += int(-values[-1 - m] > abs(values[k - m]))
+    kept = np.r_[0:r - m, values.size - m:values.size]
+    top, tail = (np.asfortranarray(sigma.basis[:, kept]), 0) if rotated else (None, m)
+    return (lambda v: eigen_split(v, r, top, tail)), np.diag(values[kept])
 
 
 def _error_fn(sigma, op: Sigma, r: int):
     """Closure for ||Sigma_r - X Y^T||_F, Sigma_r the rank-r SVD truncation
     (Eckart-Young) of ``sigma`` (applied as ``op``), and ``(X^T X, Y^T Y,
     balance gap)``. With ``_split_fn``'s split, a block identity over each
-    factor's U and rest J forms no d1 x d2 matrix; otherwise each call forms
-    the residual to Sigma_r: a diagonal's r largest magnitudes, or an SVD's."""
+    factor's U and rest J forms no d1 x d2 matrix; a dense array's calls
+    form the residual to its SVD's Sigma_r."""
     if r < 1 or r > min(op.shape):
         raise ValueError(f"rank {r} out of range for sigma of shape {op.shape}")
     split, s_r = _split_fn(sigma, op, r)
-    if split is None and op.diag is None:
+    if split is None:
         left, svals, right = linalg.svd(op.matrix)
         sigma_r = (left[:, :r] * svals[:r]) @ right[:, :r].T
-    elif split is None:
-        kept = np.isin(np.arange(op.shape[0]), np.argsort(-np.abs(op.diag), kind="stable")[:r])
-        sigma_r = np.diag(np.where(kept, op.diag, 0.0))
 
     def err(x: np.ndarray, y: np.ndarray):
         if split is None:

@@ -27,13 +27,18 @@ def _blocks(head, v, s, scratch):
         yield start, stop, head(v, start, stop, scratch[:stop - start])
 
 
-def eigen_split(x: np.ndarray, r: int, top: np.ndarray | None):
+def eigen_split(x: np.ndarray, r: int, top: np.ndarray | None, tail: int = 0):
     """``(U, U^T U, J^T J)`` of a tall iterate x, the one split every error
-    reads: U = B_r^T x on the top r eigenvectors B_r (``top``) and J = x -
-    B_r U, in O(d r^2); with ``top`` None (the identity), the views x[:r]
-    and x[r:]."""
-    u = x[:r] if top is None else top.T @ x
-    j = x[r:] if top is None else x - top @ u
+    reads: U = B_r^T x on r eigenvectors B_r (``top``) and J = x - B_r U,
+    in O(d r^2). With ``top`` None, B_r is the first r - ``tail`` and the
+    last ``tail`` coordinates: U is those rows of x and J the view of the
+    rows between, so ``tail`` 0 gives the views x[:r] and x[r:]."""
+    if tail:
+        d = x.shape[0]
+        u, j = np.concatenate((x[:r - tail], x[d - tail:])), x[r - tail:d - tail]
+    else:
+        u = x[:r] if top is None else top.T @ x
+        j = x[r:] if top is None else x - top @ u
     return u, u.T @ u, j.T @ j
 
 

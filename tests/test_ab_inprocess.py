@@ -20,10 +20,11 @@ def _ab(parent: Path, case: str = "rf-diagonal"):
 
 def test_ab_inprocess_times_this_tree_against_itself():
     # One round of the smallest case, of the recorded symmetric runs, of
-    # the sloped and the indefinite two-factor runs and of the symmetric and
-    # two-factor runs on a rotated target, this tree on both sides: a row
-    # per case with equal iteration counts, and exit 0.
-    cases = ("rf-diagonal", "sym-records", "asym-sloped", "asym-indefinite", "sym-rotated", "asym-rotated")
+    # the sloped, the indefinite and the truncated two-factor runs and of
+    # the symmetric and two-factor runs on a rotated target, this tree on
+    # both sides: a row per case with equal iteration counts, and exit 0.
+    cases = ("rf-diagonal", "sym-records", "asym-sloped", "asym-indefinite", "asym-truncated", "sym-rotated",
+             "asym-rotated")
     done = _ab(ROOT, ",".join(cases))
     assert done.returncode == 0, done.stderr
     for case in cases:

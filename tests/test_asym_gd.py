@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from lowrank_gd import (
     gaussian_factor,
     gd_step,
     lift,
+    linalg,
     make_diagonal_target,
+    make_target,
     run_asym,
 )
 from lowrank_gd.engine import DIVERGENCE_LIMIT
@@ -213,6 +216,57 @@ def test_indefinite_diagonal_target_is_truncated_by_singular_values_without_its_
     np.testing.assert_array_equal(trace.final_state.y, manual.y)
     assert trace.final_error == pytest.approx(asym_error(manual, target, 2), rel=1e-12)
     assert target._matrix is None
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+@pytest.mark.parametrize("tail", [1, 2])
+def test_truncated_diagonal_run_matches_repeated_steps_without_a_square_array(rng, tail, regularized):
+    # At r = 2 the SVD truncation of diag(3, 2, 1 ... 0.5, -5) keeps 3 and
+    # -5, and with a last entry -6 too it keeps -5 and -6, no leading
+    # eigenvalue. The error reads the split over those rows: it meets the
+    # SVD oracle, a run equals repeated steps bit for bit, and neither
+    # forms a d x d array.
+    d, r = 300, 2
+    values = np.concatenate([[3.0, 2.0], np.linspace(1.0, 0.5, d - r)])
+    values[d - tail:] = -np.arange(5.0, 5.0 + tail)
+    target = make_diagonal_target(values, d, r)
+    state = AsymState(0.1 * rng.normal(size=(d, r)), 0.1 * rng.normal(size=(d, r)))
+    u, s, vt = np.linalg.svd(np.diag(values))
+    want = np.linalg.norm((u[:, :r] * s[:r]) @ vt[:r] - state.x @ state.y.T)
+    tracemalloc.start()
+    try:
+        got = asym_error(state, target, r)
+        trace, manual = _run_and_step(state, target, regularized, 41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(want, rel=1e-12)
+    assert trace.iterations == 41
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
+    assert peak < d * d * 8 / 4
+    assert target._matrix is None
+
+
+def test_rotated_target_truncated_by_singular_values_takes_no_svd(rng, monkeypatch):
+    # A rotated Target with lambda_r < -lambda_min: the truncation keeps
+    # the last eigenvector, so the error reads the split over that basis
+    # column and the leading ones, and never takes an SVD of Sigma.
+    d, r = 6, 2
+    target = make_target([3.0, 2.0, 1.0, 0.5, 0.2, -5.0], r, basis=random_orthogonal(rng, d))
+    u, s, vt = np.linalg.svd(target.matrix)
+    svd_r = (u[:, :r] * s[:r]) @ vt[:r]
+
+    def no_svd(a):
+        raise AssertionError("linalg.svd called")
+
+    monkeypatch.setattr(linalg, "svd", no_svd)
+    state = AsymState(0.1 * rng.normal(size=(d, r)), 0.1 * rng.normal(size=(d, r)))
+    assert asym_error(state, target, r) == pytest.approx(np.linalg.norm(svd_r - state.x @ state.y.T), rel=1e-12)
+    trace, manual = _run_and_step(state, target, True, 41)
+    assert trace.iterations == 41
+    np.testing.assert_array_equal(trace.final_state.x, manual.x)
+    np.testing.assert_array_equal(trace.final_state.y, manual.y)
 
 
 @pytest.mark.parametrize("regularized", [True, False])

@@ -5,11 +5,12 @@ config under ``configs/``, the SHA-256 of every CSV it writes under that
 kernel: kernels round some products differently, so each has its own
 hashes, and the test reads the loaded core through ctypes
 (``conftest.openblas_core``). The bench config runs its first
-BENCH_REPEATS repeats only: repeat k depends on nothing but seed
-base + k, so a prefix checks the same code paths in a fraction of the
-time. A change of operation order in a step moves the hashes; the
-textbook-oracle test below bounds how far such a change may move the
-shipped trajectories before they are re-pinned.
+BENCH_REPEATS repeats only, and the manifest pins those and no more:
+repeat k depends on nothing but seed base + k, so a prefix checks the
+same code paths in a fraction of the time. A change of operation order
+in a step moves the hashes; the textbook-oracle test below bounds how far
+such a change may move the shipped trajectories before they are
+re-pinned.
 """
 
 import csv
@@ -28,22 +29,16 @@ CORE = openblas_core()
 BENCH_REPEATS = 10
 
 
-def _repeat(name: str) -> int:
-    return int(name.rsplit("_rep", 1)[1].removesuffix(".csv"))
-
-
 @pytest.mark.parametrize("stem", sorted({stem for configs in MANIFEST.values() for stem in configs}))
 def test_shipped_config_csvs_match_golden(stem, tmp_path):
     if CORE not in MANIFEST:
         pytest.fail(f"the golden manifest has no hashes for OpenBLAS core {CORE!r} (it has {sorted(MANIFEST)})")
     raw = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
-    expected = MANIFEST[CORE][stem]
     if raw["kind"] == "bench":
         raw["repeats"] = BENCH_REPEATS
-        expected = {name: h for name, h in expected.items() if _repeat(name) < BENCH_REPEATS}
     run_experiment(parse_config(raw), out_dir=tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
-    assert got == expected
+    assert got == MANIFEST[CORE][stem]
 
 
 # Relative tolerance of the error, singular-value and proj_error columns

@@ -53,6 +53,11 @@ Cases (default: all of them):
   truncation is still its eigen truncation (lambda_r >= -lambda_min), so
   the error reads the eigenbasis split (about 290 iterations). A round's
   value is the loop time per iteration, in us.
+- ``asym-truncated``: the ``asym-indefinite`` run with a last entry of
+  -8. Its rank-r SVD truncation keeps that entry (lambda_r = 2 < 8), so
+  the error reads the split over the first r - 1 rows and the last one
+  (about 396 iterations). A round's value is the loop time per iteration,
+  in us.
 
 For each case it prints the median and quartiles of each side's round
 values, the rounds in which this tree was faster, and both sides'
@@ -78,7 +83,7 @@ DENSE_D, DENSE_CALLS = 5000, 20
 SYM_D, SYM_ALPHAS = 1000, (0.5, 5e-4, 5e-7)
 SLOPED_D, INDEFINITE_D = 20000, 1000
 CASES = ("rf-diagonal", "rgd-diagonal", "rf-rotated", "rgd-rotated", "sym-rotated", "asym-rotated",
-         "eig-step-dense", "sym-records", "asym-sloped", "asym-indefinite")
+         "eig-step-dense", "sym-records", "asym-sloped", "asym-indefinite", "asym-truncated")
 # Case prefix -> one run of its solver from a seed's draw: (lg, target, cfg, seed) -> Trace.
 SOLVES = {
     "rf": lambda lg, t, cfg, seed: lg.run_eig(lg.EigState(lg.gaussian_factor(D, R, seed)), t, cfg),
@@ -160,9 +165,9 @@ def case_runner(case: str):
     if case == "asym-sloped":
         values = np.concatenate([np.linspace(7, 2, R), np.linspace(1, 0.5, SLOPED_D - R)])
         return (lambda lg: asym_case(lg, values, 1.0)), "us/iter"
-    if case == "asym-indefinite":
+    if case in ("asym-indefinite", "asym-truncated"):
         values = np.concatenate([np.linspace(7, 2, R), np.ones(INDEFINITE_D - R)])
-        values[-1] = -0.5
+        values[-1] = -0.5 if case == "asym-indefinite" else -8.0
         return (lambda lg: asym_case(lg, values, 0.5)), "us/iter"
     if case == "eig-step-dense":
         rng = np.random.default_rng(0)

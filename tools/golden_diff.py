@@ -7,11 +7,12 @@ PARENT_SRC is the root of another checkout of this project (for example
 one made with ``git worktree add`` or ``git archive``), or its ``src``
 directory. Each tree runs every config under ``configs/`` of this tree in
 a fresh interpreter with that tree's package on ``PYTHONPATH``; the bench
-config runs all its repeats, as the golden manifest pins them. For each
-config it prints how many CSV hashes moved, whether the row counts and
-the ``iter``, ``in_r`` and ``in_r2`` columns are equal, and the worst
-absolute and relative difference of every other column. A relative
-difference is taken against the larger magnitude of the two entries.
+config runs all its repeats, though the golden manifest pins only the
+first ten, which ``tests/test_golden.py`` runs. For each config it prints
+how many CSV hashes moved, whether the row counts and the ``iter``,
+``in_r`` and ``in_r2`` columns are equal, and the worst absolute and
+relative difference of every other column. A relative difference is
+taken against the larger magnitude of the two entries.
 It then compares the ``runs`` lists of the two ``summary.json`` files in
 order, on each run's variant, repeat, seed, CSV file name, iterations,
 converged and diverged, and prints ``summary runs equal`` or the first
